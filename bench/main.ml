@@ -29,6 +29,23 @@ let header title =
 
 let rule () = pf "%s@." (String.make 78 '-')
 
+(* Write experiment [name]'s report to BENCH_<name>.json as one line,
+   then read it back: a zero exit certifies the file is well-formed
+   JSON. *)
+let write_bench name json =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let oc = open_out file in
+  output_string oc (Json.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  let ic = open_in file in
+  let contents = In_channel.input_all ic in
+  close_in ic;
+  (match Json.of_string (String.trim contents) with
+  | Ok _ -> ()
+  | Error e -> failwith (Printf.sprintf "%s: %s is invalid: %s" name file e));
+  pf "wrote %s@." file
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -766,18 +783,7 @@ let selfbench ~quick ?jobs () =
         ("speedup", Json.Float speedup);
       ]
   in
-  let oc = open_out "BENCH_selfbench.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* read it back: a zero exit certifies the file is well-formed JSON *)
-  let ic = open_in "BENCH_selfbench.json" in
-  let contents = In_channel.input_all ic in
-  close_in ic;
-  (match Json.of_string (String.trim contents) with
-  | Ok _ -> ()
-  | Error e -> failwith ("selfbench: BENCH_selfbench.json is invalid: " ^ e));
-  pf "wrote BENCH_selfbench.json@."
+  write_bench "selfbench" json
 
 (* ------------------------------------------------------------------ *)
 (* Pagestore microbench (BENCH_pagestore.json)                        *)
@@ -897,18 +903,7 @@ let pagestore ~quick () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_pagestore.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* read it back: a zero exit certifies the file is well-formed JSON *)
-  let ic = open_in "BENCH_pagestore.json" in
-  let contents = In_channel.input_all ic in
-  close_in ic;
-  (match Json.of_string (String.trim contents) with
-  | Ok _ -> ()
-  | Error e -> failwith ("pagestore: BENCH_pagestore.json is invalid: " ^ e));
-  pf "wrote BENCH_pagestore.json@.";
+  write_bench "pagestore" json;
   if speedup < 1.3 then
     failwith
       (Printf.sprintf "pagestore: COW speedup %.2fx below the 1.3x floor"
@@ -934,18 +929,7 @@ let chaos ~quick ~seeds ?jobs () =
   let r = Soak.run ?jobs ~seeds ~quick () in
   Soak.pp_report Format.std_formatter r;
   Format.pp_print_flush Format.std_formatter ();
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc (Json.to_string (Soak.to_json r));
-  output_char oc '\n';
-  close_out oc;
-  (* read it back: a zero exit certifies the file is well-formed JSON *)
-  let ic = open_in "BENCH_chaos.json" in
-  let contents = In_channel.input_all ic in
-  close_in ic;
-  (match Json.of_string (String.trim contents) with
-  | Ok _ -> ()
-  | Error e -> failwith ("chaos: BENCH_chaos.json is invalid: " ^ e));
-  pf "wrote BENCH_chaos.json@.";
+  write_bench "chaos" (Soak.to_json r);
   if r.Soak.total_violations > 0 || r.Soak.incomplete > 0 || r.Soak.lost_writes > 0
   then
     failwith
@@ -1132,18 +1116,7 @@ let serve ~quick ?jobs () =
             chaos_result );
       ]
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* read it back: a zero exit certifies the file is well-formed JSON *)
-  let ic = open_in "BENCH_serve.json" in
-  let contents = In_channel.input_all ic in
-  close_in ic;
-  (match Json.of_string (String.trim contents) with
-  | Ok _ -> ()
-  | Error e -> failwith ("serve: BENCH_serve.json is invalid: " ^ e));
-  pf "wrote BENCH_serve.json@.";
+  write_bench "serve" json;
   let all_results = (Config.Mm_asvm, chaos_result) :: List.combine (List.map (fun (m, _, _) -> m) cells) results in
   List.iter
     (fun (_, (r : Serve.result)) ->

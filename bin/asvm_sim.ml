@@ -8,6 +8,7 @@
      asvm-sim file   --mm asvm --nodes 16 --op read --mb 4
      asvm-sim em3d   --mm asvm --nodes 32 --cells 256000 --iterations 20
      asvm-sim serve  --mm asvm --arrival bursty --oversub 3.0
+     asvm-sim serve  --nodes 16 --rate 4000 --trace-out serve.jsonl
      asvm-sim sweep  --experiment table1 --jobs 4
      asvm-sim chaos  --seeds 10
      asvm-sim chaos  --seed 3 --workload file --mm asvm *)
@@ -283,7 +284,7 @@ let serve_cmd =
       & info [ "seed" ] ~doc:"Experiment seed (the run is pure in it).")
   in
   let run mm nodes arrival rate oversub duration_ms read_fraction zipf seed
-      metrics =
+      trace_out metrics =
     let process =
       match arrival with
       | `Poisson -> Arrival.Poisson { rate_per_s = rate }
@@ -313,7 +314,7 @@ let serve_cmd =
         seed;
       }
     in
-    let r = Serve.run ~mm p in
+    let r = Serve.run ~mm ~tweak:(fun c -> { c with Config.trace_out }) p in
     Printf.printf
       "%s %s oversub %.1f: %d requests on %d nodes (%d-page working set)\n"
       (Config.mm_name mm)
@@ -336,7 +337,10 @@ let serve_cmd =
         r.Serve.reader_handoffs r.Serve.internode_pageouts
         r.Serve.pageouts_to_pager;
     if metrics then
-      print_snapshot ~header:"metric registry snapshot:" r.Serve.metrics
+      print_snapshot ~header:"metric registry snapshot:" r.Serve.metrics;
+    Option.iter
+      (fun f -> Printf.printf "\ntrace written to %s\n" f)
+      trace_out
   in
   Cmd.v
     (Cmd.info "serve"
@@ -346,7 +350,7 @@ let serve_cmd =
     Term.(
       const run $ mm_term $ nodes_term $ arrival_term $ rate_term
       $ oversub_term $ duration_term $ read_fraction_term $ zipf_term
-      $ seed_term $ metrics_term)
+      $ seed_term $ trace_out_term $ metrics_term)
 
 (* -------------------------------- chaos ----------------------------- *)
 

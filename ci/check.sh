@@ -5,6 +5,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== one trace path"
+# the library reports only through the metric registry and Trace: an
+# environment switch or a stderr print in lib/ is a second trace path
+if grep -rnE 'Sys\.getenv|Printf\.eprintf' lib; then
+  echo "lib/ must not read the environment or print to stderr; use Trace" >&2
+  exit 1
+fi
+
 echo "== dune build"
 dune build @all
 

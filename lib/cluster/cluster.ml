@@ -496,9 +496,8 @@ let crash_node t ~node =
   | B_asvm a -> Asvm.crash_node a ~node
   | B_xmm x -> Xmm.crash_node x ~node);
   Metrics.Counter.incr (Metrics.Registry.counter t.metrics "chaos.crashes");
-  Trace.emit t.trace ~time:(now t) ~node
-    (Trace.Note
-       { category = "crash"; detail = Printf.sprintf "node %d crashed" node })
+  Trace.note t.trace ~time:(now t) ~node ~category:"crash" "node %d crashed"
+    node
 
 let rejoin_node t ~node =
   if node < 0 || node >= t.config.nodes then
@@ -510,9 +509,8 @@ let rejoin_node t ~node =
   | B_asvm a -> Asvm.rejoin_node a ~node
   | B_xmm x -> Xmm.rejoin_node x ~node);
   Metrics.Counter.incr (Metrics.Registry.counter t.metrics "chaos.rejoins");
-  Trace.emit t.trace ~time:(now t) ~node
-    (Trace.Note
-       { category = "crash"; detail = Printf.sprintf "node %d rejoined" node })
+  Trace.note t.trace ~time:(now t) ~node ~category:"crash" "node %d rejoined"
+    node
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                         *)

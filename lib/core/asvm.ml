@@ -257,10 +257,9 @@ type handles = {
       (* asvm.msgs{class,group,contents}: row * 3 + contents index *)
   hm_ot : Metrics.Counter.t option array;
       (* asvm.msgs.ownership_transfer{msg,contents}, transfer rows only *)
-  hm_ownership_transfers : Metrics.Counter.t;
+  hm_counts : Metrics.Counter.t array;  (* one per [count_rows] entry *)
   hm_fault_read : Metrics.Histogram.t;
   hm_fault_ownership : Metrics.Histogram.t;
-  hm_forwarding : Metrics.Counter.t array;  (* per forwarding mechanism *)
   hm_recovery : Metrics.Histogram.t;  (* asvm.recovery_ms *)
 }
 
@@ -271,7 +270,6 @@ type t = {
   wpp : int;
   config : config;
   insts : (int * Ids.obj_id, inst) Hashtbl.t;
-  counters : Stats.Counters.t;
   metrics : Metrics.Registry.t;
   handles : handles;
   trace : Trace.t option;
@@ -281,7 +279,6 @@ type t = {
   recovering : (int * Ids.obj_id * int, float) Hashtbl.t;
 }
 
-let counters t = t.counters
 let now t = Engine.now (Vm.engine t.vms.(0))
 
 let sts_messages t = Sts.messages t.sts
@@ -295,61 +292,28 @@ let inst t node obj =
   | None ->
     failwith (Printf.sprintf "Asvm: no instance of obj#%d on node %d" obj node)
 
-let debug_msgs = Sys.getenv_opt "ASVM_DEBUG" <> None
+(* The object and page a message concerns, for its trace event: the
+   instance that handles it at the receiver; page -1 for the
+   object-wide copy announcements. *)
+let subject_of_msg = function
+  | A_request r | A_pager_lookup r | A_pull r -> (r.r_obj, r.r_page)
+  | A_reply { origin_obj = obj; page; _ } | A_retry { origin_obj = obj; page; _ }
+  | A_grant { obj; page; _ } | A_invalidate { obj; page; _ }
+  | A_inval_ack { obj; page } | A_owner_update { obj; page; _ }
+  | A_reader_query { obj; page; _ } | A_reader_answer { obj; page; _ }
+  | A_transfer_offer { obj; page; _ } | A_transfer_answer { obj; page; _ }
+  | A_transfer_page { obj; page; _ } | A_pager_offer { obj; page; _ }
+  | A_pager_grant { obj; page } | A_to_pager { obj; page; _ }
+  | A_push_lock { obj; page; _ } | A_push_lock_done { obj; page; _ }
+  | A_push_contents { obj; page; _ } | A_push_ack { home = obj; page }
+  | A_push_prepare { copy = obj; page; _ } | A_push_ready { home = obj; page; _ }
+  | A_push_to_copy { copy = obj; page; _ }
+  | A_scan_answer { home = obj; page; _ } ->
+    (obj, page)
+  | A_copy_made { obj; _ } | A_copy_shared { obj; _ } | A_copy_ack { obj } ->
+    (obj, -1)
 
-let debug_page =
-  match Sys.getenv_opt "ASVM_DEBUG_PAGE" with
-  | Some s -> int_of_string s
-  | None -> -1
-
-let page_of_msg = function
-  | A_request r | A_pager_lookup r | A_pull r -> r.r_page
-  | A_reply { page; _ } | A_grant { page; _ }
-  | A_invalidate { page; _ } | A_inval_ack { page; _ }
-  | A_owner_update { page; _ } | A_reader_query { page; _ }
-  | A_reader_answer { page; _ } | A_transfer_offer { page; _ }
-  | A_transfer_answer { page; _ } | A_transfer_page { page; _ }
-  | A_pager_offer { page; _ } | A_pager_grant { page; _ }
-  | A_to_pager { page; _ } | A_push_lock { page; _ }
-  | A_push_lock_done { page; _ } | A_push_contents { page; _ }
-  | A_push_ack { page; _ } | A_push_prepare { page; _ }
-  | A_push_ready { page; _ } | A_push_to_copy { page; _ }
-  | A_scan_answer { page; _ } | A_retry { page; _ } -> page
-  | A_copy_made _ | A_copy_shared _ | A_copy_ack _ -> -1
-
-let tag_of_msg = function
-  | A_request _ -> "request"
-  | A_pager_lookup _ -> "pager_lookup"
-  | A_pull _ -> "pull"
-  | A_reply { page; grant; owner; _ } ->
-    Printf.sprintf "reply(page=%d grant=%s owner=%b)" page (Prot.to_string grant) owner
-  | A_grant _ -> "grant"
-  | A_invalidate _ -> "invalidate"
-  | A_inval_ack _ -> "inval_ack"
-  | A_owner_update _ -> "owner_update"
-  | A_reader_query _ -> "reader_query"
-  | A_reader_answer _ -> "reader_answer"
-  | A_transfer_offer _ -> "transfer_offer"
-  | A_transfer_answer _ -> "transfer_answer"
-  | A_transfer_page _ -> "transfer_page"
-  | A_pager_offer _ -> "pager_offer"
-  | A_pager_grant _ -> "pager_grant"
-  | A_to_pager _ -> "to_pager"
-  | A_copy_made _ -> "copy_made"
-  | A_copy_shared _ -> "copy_shared"
-  | A_copy_ack _ -> "copy_ack"
-  | A_push_lock _ -> "push_lock"
-  | A_push_lock_done _ -> "push_lock_done"
-  | A_push_contents _ -> "push_contents"
-  | A_push_ack _ -> "push_ack"
-  | A_push_prepare _ -> "push_prepare"
-  | A_push_ready _ -> "push_ready"
-  | A_push_to_copy _ -> "push_to_copy"
-  | A_scan_answer _ -> "scan_answer"
-  | A_retry _ -> "retry"
-
-(* Message class for the metrics registry: like [tag_of_msg] but a
-   stable label with no interpolated per-message detail.  Classes and
+(* Message class for the metrics registry and the trace.  Classes and
    accounting groups live in one fixed row table so the send path can
    resolve a message's metric series by integer index instead of
    rebuilding a label list per message. *)
@@ -434,38 +398,97 @@ let row_is_transfer = Array.map (fun (_, g) -> g = "transfer") msg_rows
    carrying contents only when a page actually crosses the wire *)
 let contents_labels = [| "none"; "local"; "wire" |]
 
+(* Every protocol event the engine counts, one registry series each
+   (see docs/OBSERVABILITY.md): the name [counters] shows it under,
+   then the series.  The [c_*] constants index this table. *)
+let count_rows =
+  let fwd m = ("asvm.forwarding", [ ("mechanism", m) ]) in
+  let copy op = ("asvm.copy", [ ("op", op) ]) in
+  let pageout step = ("asvm.pageout", [ ("step", step) ]) in
+  let crash event = ("asvm.crash", [ ("event", event) ]) in
+  [|
+    ("forward.loop_breaks", fwd "loop_break");
+    ("forward.dynamic", fwd "dynamic");
+    ("forward.to_static", fwd "to_static");
+    ("forward.static_hit", fwd "static_hit");
+    ("forward.fresh_hint", fwd "fresh_hint");
+    ("forward.paged_hint", fwd "paged_hint");
+    ("forward.global_sweeps", fwd "global_sweep");
+    ("forward.park_timeouts", ("asvm.park_timeouts", []));
+    ("ownership_transfers", ("asvm.ownership_transfers", []));
+    ("invalidations", ("asvm.invalidations", []));
+    ("zero_grants", ("asvm.zero_grants", []));
+    ("pager.supplies", ("asvm.pager_supplies", []));
+    ("pushes", copy "push");
+    ("push_scans", copy "push_scan");
+    ("copy.pulls", copy "pull");
+    ("copy.retries", copy "retry");
+    ("pageout.reader_handoffs", pageout "reader_handoff");
+    ("pageout.internode", pageout "internode");
+    ("pageout.to_pager", pageout "to_pager");
+    ("crash.reelections", crash "reelection");
+    ("crash.redrives", crash "redrive");
+    ("crash.salvaged", crash "salvaged");
+    ("crash.rescued_pages", crash "rescued_page");
+    ("crash.stale_requests", crash "stale_request");
+    ("crash.stale_replies", crash "stale_reply");
+    ("crash.lost_grants", crash "lost_grant");
+    ("crash.lost_pages", crash "lost_page");
+  |]
+
+let c_loop_break = 0
+let c_dynamic = 1
+let c_to_static = 2
+let c_static_hit = 3
+let c_fresh_hint = 4
+let c_paged_hint = 5
+let c_global_sweep = 6
+let c_park_timeout = 7
+let c_ownership_transfer = 8
+let c_invalidation = 9
+let c_zero_grant = 10
+let c_pager_supply = 11
+let c_push = 12
+let c_push_scan = 13
+let c_pull = 14
+let c_copy_retry = 15
+let c_reader_handoff = 16
+let c_internode_pageout = 17
+let c_pageout_to_pager = 18
+let c_reelection = 19
+let c_redrive = 20
+let c_salvaged = 21
+let c_rescued_page = 22
+let c_stale_request = 23
+let c_stale_reply = 24
+let c_lost_grant = 25
+let c_lost_page = 26
+
 let make_handles metrics =
   {
     hm_msgs = Array.make (Array.length msg_rows * 3) None;
     hm_ot = Array.make (Array.length msg_rows * 3) None;
-    hm_ownership_transfers =
-      Metrics.Registry.counter metrics "asvm.ownership_transfers";
+    hm_counts =
+      Array.map
+        (fun (_, (name, labels)) -> Metrics.Registry.counter metrics name ~labels)
+        count_rows;
     hm_fault_read =
       Metrics.Registry.histogram metrics "asvm.fault_ms"
         ~labels:[ ("kind", "read") ];
     hm_fault_ownership =
       Metrics.Registry.histogram metrics "asvm.fault_ms"
         ~labels:[ ("kind", "ownership") ];
-    hm_forwarding =
-      Array.map
-        (fun mechanism ->
-          Metrics.Registry.counter metrics "asvm.forwarding"
-            ~labels:[ ("mechanism", mechanism) ])
-        [|
-          "loop_break"; "dynamic"; "to_static"; "static_hit"; "fresh_hint";
-          "paged_hint"; "global_sweep";
-        |];
     hm_recovery = Metrics.Registry.histogram metrics "asvm.recovery_ms";
   }
 
-(* forwarding-mechanism indices into [hm_forwarding] *)
-let fwd_loop_break = 0
-let fwd_dynamic = 1
-let fwd_to_static = 2
-let fwd_static_hit = 3
-let fwd_fresh_hint = 4
-let fwd_paged_hint = 5
-let fwd_global_sweep = 6
+let count ?by t c = Metrics.Counter.incr ?by t.handles.hm_counts.(c)
+
+let counters t =
+  Array.to_list count_rows
+  |> List.mapi (fun c (name, _) ->
+         (name, Metrics.Counter.value t.handles.hm_counts.(c)))
+  |> List.filter (fun (_, n) -> n > 0)
+  |> Stats.Counters.of_list
 
 let msgs_counter t row ci =
   let idx = (row * 3) + ci in
@@ -498,33 +521,48 @@ let ot_counter t row ci =
 let page_bytes = 8192
 
 let send t ~src ~dst ?carries_page msg =
-  if debug_msgs || (debug_page >= 0 && page_of_msg msg = debug_page) then
-    Printf.eprintf "[asvm %8.3f] %d -> %d : %s%s\n%!" (now t) src dst (tag_of_msg msg)
-      (if carries_page = Some true then " [page]" else "");
-  let page = carries_page = Some true in
+  let with_page = carries_page = Some true in
   let row = row_of_msg msg in
-  let cls, group = msg_rows.(row) in
-  let ci = if not page then 0 else if src = dst then 1 else 2 in
+  let ci = if not with_page then 0 else if src = dst then 1 else 2 in
   Metrics.Counter.incr (msgs_counter t row ci);
   if row_is_transfer.(row) then Metrics.Counter.incr (ot_counter t row ci);
-  Trace.emit t.trace ~time:(now t) ~node:src
-    (Trace.Msg
-       {
-         proto = "asvm";
-         cls;
-         group;
-         src;
-         dst;
-         carries_page = page;
-         bytes = (t.config.sts.Sts.header_bytes + if page then page_bytes else 0);
-       });
+  (match t.trace with
+  | None -> ()
+  | Some tr ->
+    let cls, group = msg_rows.(row) in
+    let obj, page = subject_of_msg msg in
+    Trace.emit tr ~time:(now t) ~node:src
+      (Trace.Msg
+         {
+           proto = "asvm";
+           cls;
+           group;
+           obj;
+           page;
+           src;
+           dst;
+           carries_page = with_page;
+           bytes =
+             (t.config.sts.Sts.header_bytes
+             + if with_page then page_bytes else 0);
+         }));
   Sts.send t.sts ~src ~dst ?carries_page msg
 
-(* Per-forwarding-mechanism counters (dynamic hints, static manager,
-   global sweep...), mirrored into the registry next to the legacy
-   [Stats.Counters] names that tests and benches already consume. *)
-let count_forward t mechanism =
-  Metrics.Counter.incr t.handles.hm_forwarding.(mechanism)
+(* [owner] became the page's owner (emitted at the owner). *)
+let trace_ownership t ~obj ~page ~owner =
+  match t.trace with
+  | None -> ()
+  | Some tr ->
+    Trace.emit tr ~time:(now t) ~node:owner (Trace.Ownership { obj; page; owner })
+
+(* A routing decision about one request (parked, unparked by timeout,
+   dropped as stale) as a trace note.  Parking is common under load, so
+   an untraced run skips even consuming the format's arguments. *)
+let note_request t ~node ~category req =
+  if Option.is_some t.trace then
+    Trace.note t.trace ~time:(now t) ~node ~category
+      "obj=%d page=%d origin=%d gen=%d" req.r_obj req.r_page req.r_origin
+      req.r_gen
 
 let static_mgr i page = i.i_sharers.(page mod Array.length i.i_sharers)
 
@@ -619,13 +657,12 @@ let request_stale t req =
        | Some (_, g) -> g <> req.r_gen
        | None -> true))
 
+let drop_stale t node req =
+  count t c_stale_request;
+  note_request t ~node ~category:"asvm.stale_drop" req
+
 let rec route_request t node req =
-  if request_stale t req then begin
-    if debug_page >= 0 && req.r_page = debug_page then
-      Printf.eprintf "[asvm %8.3f] node %d DROP-STALE req origin=%d gen=%d\n%!"
-        (now t) node req.r_origin req.r_gen;
-    Stats.Counters.incr t.counters "crash.stale_requests"
-  end
+  if request_stale t req then drop_stale t node req
   else
   let i = inst t node req.r_obj in
   match Hashtbl.find_opt i.i_pages req.r_page with
@@ -652,9 +689,7 @@ let rec route_request t node req =
           Hashtbl.add i.i_waiting_inbound req.r_page q;
           q
       in
-      (if debug_page >= 0 && req.r_page = debug_page then
-         Printf.eprintf "[asvm %8.3f] node %d PARK req origin=%d gen=%d\n%!"
-           (now t) node req.r_origin req.r_gen);
+      note_request t ~node ~category:"asvm.park" req;
       Queue.push req q;
       (* Parking assumes this node's fault will land and [drain_inbound]
          will re-route the queue.  Under memory pressure that assumption
@@ -684,13 +719,10 @@ and unpark_if_stuck t node i req =
       Queue.clear q;
       Queue.transfer keep q;
       if Queue.is_empty q then Hashtbl.remove i.i_waiting_inbound req.r_page;
-      if request_stale t req then
-        Stats.Counters.incr t.counters "crash.stale_requests"
+      if request_stale t req then drop_stale t node req
       else begin
-        Stats.Counters.incr t.counters "forward.park_timeouts";
-        if debug_page >= 0 && req.r_page = debug_page then
-          Printf.eprintf "[asvm %8.3f] node %d UNPARK->sweep origin=%d gen=%d\n%!"
-            (now t) node req.r_origin req.r_gen;
+        count t c_park_timeout;
+        note_request t ~node ~category:"asvm.park_timeout" req;
         start_sweep t node i req
       end
     end
@@ -700,8 +732,7 @@ and forward_request t node i req =
   if req.r_ring >= 0 then sweep_step t node i req
   else if req.r_hops > (2 * Array.length i.i_sharers) + 8 then begin
     (* stale hint loop: abandon hints, fall back to a global sweep *)
-    Stats.Counters.incr t.counters "forward.loop_breaks";
-    count_forward t fwd_loop_break;
+    count t c_loop_break;
     start_sweep t node i req
   end
   else begin
@@ -710,8 +741,7 @@ and forward_request t node i req =
     in
     match hint with
     | Some target when target <> node && not (Network.is_down t.net target) ->
-      Stats.Counters.incr t.counters "forward.dynamic";
-      count_forward t fwd_dynamic;
+      count t c_dynamic;
       (* Note: Li's hint-chain collapse ("the originator becomes the
          next owner", paper 3.2) is deliberately NOT applied here at
          forwarding nodes. With concurrent writers, speculative hints to
@@ -729,8 +759,7 @@ and forward_request t node i req =
              only the ring sweep can find a surviving owner *)
           start_sweep t node i req
         else if sm <> node then begin
-          Stats.Counters.incr t.counters "forward.to_static";
-          count_forward t fwd_to_static;
+          count t c_to_static;
           send t ~src:node ~dst:sm (A_request req)
         end
         else consult_static t node i req
@@ -752,17 +781,14 @@ and consult_static t node i req =
   match Hint_cache.find i.i_static ~page:req.r_page with
   | Some (S_at target) when target <> node && not (Network.is_down t.net target)
     ->
-    Stats.Counters.incr t.counters "forward.static_hit";
-    count_forward t fwd_static_hit;
+    count t c_static_hit;
     send t ~src:node ~dst:target (A_request req)
   | Some S_fresh ->
-    Stats.Counters.incr t.counters "forward.fresh_hint";
-    count_forward t fwd_fresh_hint;
+    count t c_fresh_hint;
     claim_for_origin ();
     conclude_fresh t node i req
   | Some S_paged ->
-    Stats.Counters.incr t.counters "forward.paged_hint";
-    count_forward t fwd_paged_hint;
+    count t c_paged_hint;
     claim_for_origin ();
     to_pager_lookup t node i req
   | Some (S_at _) (* stale self-reference *) | None ->
@@ -780,8 +806,7 @@ and to_pager_lookup t node i req =
   else send t ~src:node ~dst:pnode (A_pager_lookup req)
 
 and start_sweep t node i req =
-  Stats.Counters.incr t.counters "forward.global_sweeps";
-  count_forward t fwd_global_sweep;
+  count t c_global_sweep;
   req.r_ring <- node;
   sweep_step t node i req
 
@@ -835,7 +860,7 @@ and pager_lookup t node i req =
         (A_scan_answer
            { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = true })
     | K_fault | K_pull ->
-      Stats.Counters.incr t.counters "pager.supplies";
+      count t c_pager_supply;
       Hashtbl.replace i.i_granted req.r_page req.r_origin;
       Store_pager.request (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page ~words:t.wpp
         (fun contents ->
@@ -868,7 +893,7 @@ and pager_lookup t node i req =
         (* a copy object with no owner and nothing paged: walk the
            shadow chain on the peer node (figure 9); pulls continue
            stage by stage until the end of the chain *)
-        Stats.Counters.incr t.counters "copy.pulls";
+        count t c_pull;
         send t ~src:node ~dst:peer (A_pull req)
       | None -> conclude_fresh t node i req)
 
@@ -880,7 +905,7 @@ and conclude_fresh t node i req =
       (A_scan_answer
          { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = false })
   | K_fault | K_pull ->
-    Stats.Counters.incr t.counters "zero_grants";
+    count t c_zero_grant;
     if node = Store_pager.node (pager_of i req.r_page) then
       Hashtbl.replace i.i_granted req.r_page req.r_origin;
     update_static t i ~page:req.r_page ~hint:(S_at req.r_origin);
@@ -1016,8 +1041,7 @@ and owner_write_grant t node i ps req =
                   mode = Emmi.Lock_plain;
                 }
               ~reply:(fun _ ->
-                Stats.Counters.incr t.counters "ownership_transfers";
-                Metrics.Counter.incr t.handles.hm_ownership_transfers;
+                count t c_ownership_transfer;
                 let was_reader = List.mem req.r_origin ps.p_readers in
                 if req.r_upgrade && was_reader then
                   send t ~src:node ~dst:req.r_origin
@@ -1073,7 +1097,7 @@ and invalidate_readers t node i ps ~page ~except k =
   match targets with
   | [] -> k ()
   | _ ->
-    Stats.Counters.incr ~by:(List.length targets) t.counters "invalidations";
+    count t c_invalidation ~by:(List.length targets);
     ps.p_acks <- List.length targets;
     ps.p_ack_k <- k;
     List.iter
@@ -1126,7 +1150,7 @@ and finish_owner_op t node i ps page ~moved_to =
 and run_push_if_needed t node i ps page k =
   if ps.p_version >= i.i_version then k ()
   else begin
-    Stats.Counters.incr t.counters "pushes";
+    count t c_push;
     ps.p_pushing <- true;
     let vm = t.vms.(node) in
     let contents =
@@ -1166,7 +1190,7 @@ and run_push_if_needed t node i ps page k =
     (* shared copy objects: push scan through their forwarding (3.7.2) *)
     List.iter
       (fun (copy, peer) ->
-        Stats.Counters.incr t.counters "push_scans";
+        count t c_push_scan;
         let req =
           {
             r_origin = node;
@@ -1244,7 +1268,7 @@ and query_readers t node i ps ~page ~contents ~dirty readers =
     ps.p_readers <- rest;
     Hashtbl.replace i.i_answers page (fun accepted ->
         if accepted then begin
-          Stats.Counters.incr t.counters "pageout.reader_handoffs";
+          count t c_reader_handoff;
           Hint_cache.put i.i_dyn ~page r;
           finish_owner_op t node i ps page ~moved_to:(Some r)
         end
@@ -1276,7 +1300,7 @@ and offer_transfer t node i ps ~page ~contents ~dirty =
     else begin
       Hashtbl.replace i.i_answers page (fun accepted ->
           if accepted then begin
-            Stats.Counters.incr t.counters "pageout.internode";
+            count t c_internode_pageout;
             i.i_last_acceptor <- Some target;
             Hint_cache.put i.i_dyn ~page target;
             send t ~src:node ~dst:target ~carries_page:true
@@ -1299,7 +1323,7 @@ and offer_transfer t node i ps ~page ~contents ~dirty =
    carries contents, so the pager node first reserves a receive buffer
    (pages only ever flow on behalf of their receiver). *)
 and pageout_to_pager t node i ps ~page ~contents ~dirty =
-  Stats.Counters.incr t.counters "pageout.to_pager";
+  count t c_pageout_to_pager;
   let pnode = Store_pager.node (pager_of i page) in
   let conclude () =
     update_static t i ~page ~hint:S_paged;
@@ -1343,8 +1367,7 @@ let install_owner t node i ~page ~readers ~version ~dirty ~static_updated =
   Hashtbl.replace i.i_pages page ps;
   if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
   Hint_cache.remove i.i_dyn ~page;
-  Trace.emit t.trace ~time:(now t) ~node
-    (Trace.Ownership { obj = i.i_obj; page; owner = node });
+  trace_ownership t ~obj:i.i_obj ~page ~owner:node;
   if not static_updated then update_static t i ~page ~hint:(S_at node)
 
 (* Requests that parked here while our own fault was in flight are
@@ -1391,7 +1414,7 @@ let handle_reply t node
     | Some (_, g) -> g <> gen
     | None -> true
   in
-  if stale then Stats.Counters.incr t.counters "crash.stale_replies"
+  if stale then count t c_stale_reply
   else begin
   Sts.release_buffer t.sts ~node;
   observe_fault_latency t i ~page ~ownership:owner;
@@ -1437,6 +1460,16 @@ let reissue t node ~origin_obj ~page ~want ~upgrade =
   in
   route_request t node req
 
+(* Reserve a page receive buffer at [node], retrying every [retry_ms]
+   while its pool is exhausted (flow control), then run [k]; a node
+   that goes down stops retrying. *)
+let with_buffer t ~node ~retry_ms k =
+  let rec acquire () =
+    if Network.is_down t.net node then ()
+    else if Sts.reserve_buffer t.sts ~node then k ()
+    else Engine.schedule (Vm.engine t.vms.(node)) ~delay:retry_ms acquire
+  in
+  acquire ()
 
 let rec handle t node msg =
   match msg with
@@ -1461,7 +1494,7 @@ let rec handle t node msg =
       | Some (_, g) -> g <> gen
       | None -> true
     in
-    if stale then Stats.Counters.incr t.counters "crash.stale_replies"
+    if stale then count t c_stale_reply
     else begin
       Sts.release_buffer t.sts ~node;
       observe_fault_latency t i ~page ~ownership:true;
@@ -1476,17 +1509,11 @@ let rec handle t node msg =
         ignore from;
         drain_inbound t node i page
       end
-      else begin
+      else
         (* the read copy vanished while the grant was in flight *)
-        let rec acquire () =
-          if Network.is_down t.net node then ()
-          else if Sts.reserve_buffer t.sts ~node then
+        with_buffer t ~node ~retry_ms:0.5 (fun () ->
             reissue t node ~origin_obj:obj ~page ~want:Prot.Read_write
-              ~upgrade:false
-          else Engine.schedule (Vm.engine t.vms.(node)) ~delay:0.5 acquire
-        in
-        acquire ()
-      end
+              ~upgrade:false)
     end
   | A_invalidate { obj; page; new_owner; from } ->
     (* transition 8.  The ack waits on an async kernel call: record it
@@ -1618,16 +1645,10 @@ let rec handle t node msg =
     let i = inst t node obj in
     let owed = (from, A_pager_grant { obj; page }) in
     i.i_owed_acks <- owed :: i.i_owed_acks;
-    let rec acquire () =
-      if Network.is_down t.net node then ()
-      else if Sts.reserve_buffer t.sts ~node then begin
+    with_buffer t ~node ~retry_ms:1.0 (fun () ->
         i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
         Hashtbl.replace i.i_pageouts page from;
-        send t ~src:node ~dst:from (A_pager_grant { obj; page })
-      end
-      else Engine.schedule (Vm.engine t.vms.(node)) ~delay:1.0 acquire
-    in
-    acquire ()
+        send t ~src:node ~dst:from (A_pager_grant { obj; page }))
   | A_pager_grant { obj; page } -> (
     let i = inst t node obj in
     match Hashtbl.find_opt i.i_answers page with
@@ -1716,15 +1737,9 @@ let rec handle t node msg =
     let i = inst t node copy in
     let owed = (from, A_push_ack { home; page }) in
     i.i_owed_acks <- owed :: i.i_owed_acks;
-    let rec acquire () =
-      if Network.is_down t.net node then ()
-      else if Sts.reserve_buffer t.sts ~node then begin
+    with_buffer t ~node ~retry_ms:1.0 (fun () ->
         i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-        send t ~src:node ~dst:from (A_push_ready { copy; home; page })
-      end
-      else Engine.schedule (Vm.engine t.vms.(node)) ~delay:1.0 acquire
-    in
-    acquire ()
+        send t ~src:node ~dst:from (A_push_ready { copy; home; page }))
   | A_push_ready { copy; home; page } -> (
     let i = inst t node home in
     match Hashtbl.find_opt i.i_push_ops page with
@@ -1773,7 +1788,7 @@ let rec handle t node msg =
       end
     | None -> ())
   | A_retry { origin_obj; page; want; upgrade } ->
-    Stats.Counters.incr t.counters "copy.retries";
+    count t c_copy_retry;
     reissue t node ~origin_obj ~page ~want ~upgrade
 
 and handle_pull t node req =
@@ -1885,7 +1900,7 @@ let redrive_fault t req =
       match gen with
       | None -> ()
       | Some gen ->
-        Stats.Counters.incr t.counters "crash.redrives";
+        count t c_redrive;
         let key = (origin, req.r_origin_obj, req.r_page) in
         if not (Hashtbl.mem t.recovering key) then
           Hashtbl.replace t.recovering key (now t);
@@ -1913,7 +1928,7 @@ let deliver_if_alive t node msg =
    the case-by-case rationale). *)
 let salvage t ~src ~dst ~src_dead ~dst_dead msg =
   if not dst_dead then begin
-    Stats.Counters.incr t.counters "crash.salvaged";
+    count t c_salvaged;
     match msg with
     | A_reply { owner = false; origin_obj; page; grant; gen; _ } when src_dead
       ->
@@ -1969,7 +1984,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
             (* ownership plus data died in flight to the crashed
                origin: write the page back to its pager — the store
                survives the crash (stable storage) *)
-            Stats.Counters.incr t.counters "crash.rescued_pages";
+            count t c_rescued_page;
             Store_pager.remember (pager_of i page) ~obj:origin_obj ~page
               ~contents:c;
             set_static_hint t i ~page ~hint:S_paged
@@ -1988,7 +2003,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       match inst_opt obj with
       | None -> ()
       | Some i ->
-        Stats.Counters.incr t.counters "crash.lost_grants";
+        count t c_lost_grant;
         set_static_hint t i ~page
           ~hint:
             (if Store_pager.has (pager_of i page) ~obj ~page then S_paged
@@ -2011,7 +2026,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       match inst_opt obj with
       | None -> ()
       | Some i ->
-        Stats.Counters.incr t.counters "crash.rescued_pages";
+        count t c_rescued_page;
         Store_pager.remember (pager_of i page) ~obj ~page ~contents;
         set_static_hint t i ~page ~hint:S_paged;
         purge_granted t i ~page)
@@ -2034,7 +2049,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       | Some i -> (
         match contents with
         | Some c ->
-          Stats.Counters.incr t.counters "crash.rescued_pages";
+          count t c_rescued_page;
           Store_pager.remember (pager_of i page) ~obj ~page ~contents:c
         | None ->
           if not (Store_pager.has (pager_of i page) ~obj ~page) then
@@ -2056,7 +2071,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       (match inst_opt copy with
       | None -> ()
       | Some i ->
-        Stats.Counters.incr t.counters "crash.rescued_pages";
+        count t c_rescued_page;
         Store_pager.remember (pager_of i page) ~obj:copy ~page ~contents;
         set_static_hint t i ~page ~hint:S_paged);
       deliver_if_alive t from (A_push_ack { home; page })
@@ -2083,7 +2098,6 @@ let create ~net ~(config : config) ~vms ~words_per_page ?metrics ?trace () =
       wpp = words_per_page;
       config;
       insts = Hashtbl.create 64;
-      counters = Stats.Counters.create ();
       metrics;
       handles = make_handles metrics;
       trace;
@@ -2192,13 +2206,8 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
               r_gen = -1;
             }
           in
-          let rec acquire () =
-            if Network.is_down t.net node then ()
-            else if Sts.reserve_buffer t.sts ~node then
-              owner_handle t node i ps req
-            else Engine.schedule (Vm.engine t.vms.(node)) ~delay:0.5 acquire
-          in
-          acquire ()
+          with_buffer t ~node ~retry_ms:0.5 (fun () ->
+              owner_handle t node i ps req)
         | _ ->
           if Hashtbl.mem i.i_outstanding page then
             (* one request per page at a time: a second kernel request
@@ -2214,12 +2223,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
             i.i_next_gen <- gen + 1;
             Hashtbl.replace i.i_outstanding page
               (Engine.now (Vm.engine t.vms.(node)), gen);
-            let rec acquire () =
-              if Network.is_down t.net node then ()
-              else if Sts.reserve_buffer t.sts ~node then fire gen
-              else Engine.schedule (Vm.engine t.vms.(node)) ~delay:0.5 acquire
-            in
-            acquire ()
+            with_buffer t ~node ~retry_ms:0.5 (fun () -> fire gen)
           end
       in
       let manager =
@@ -2261,7 +2265,7 @@ let reelect t ~victim i ~page ~ps =
   in
   match candidates with
   | owner :: rest ->
-    Stats.Counters.incr t.counters "crash.reelections";
+    count t c_reelection;
     let oi = inst t owner obj in
     let nps = new_pstate ~version:ps.p_version in
     nps.p_readers <- rest;
@@ -2270,15 +2274,14 @@ let reelect t ~victim i ~page ~ps =
     (* the survivor's copy may now be the only one anywhere: make sure
        an eviction writes it back instead of discarding it as clean *)
     Vm.set_frame_dirty t.vms.(owner) ~obj ~page;
-    Trace.emit t.trace ~time:(now t) ~node:owner
-      (Trace.Ownership { obj; page; owner });
+    trace_ownership t ~obj ~page ~owner;
     set_static_hint t oi ~page ~hint:(S_at owner);
     purge_granted t i ~page
   | [] ->
     let hint =
       if Store_pager.has (pager_of i page) ~obj ~page then S_paged
       else begin
-        Stats.Counters.incr t.counters "crash.lost_pages";
+        count t c_lost_page;
         S_fresh
       end
     in

@@ -47,14 +47,20 @@ val default_config : config
 
 type t
 
-(** [metrics] receives the protocol's counter families —
-    [asvm.msgs] (labels [class]/[group]/[contents]),
+(** [metrics] receives every count the protocol keeps — [asvm.msgs]
+    (labels [class]/[group]/[contents]),
     [asvm.msgs.ownership_transfer], [asvm.forwarding] (label
-    [mechanism]), [asvm.ownership_transfers] — and the [asvm.fault_ms]
-    latency histogram; a private registry is created when omitted.
-    [trace] receives one structured {!Asvm_obs.Trace.Msg} event per
-    protocol message and an {!Asvm_obs.Trace.Ownership} event per
-    ownership transition.  See [docs/OBSERVABILITY.md]. *)
+    [mechanism]), [asvm.park_timeouts], [asvm.pageout] (label [step]),
+    [asvm.copy] (label [op]), [asvm.crash] (label [event]),
+    [asvm.ownership_transfers], [asvm.invalidations],
+    [asvm.zero_grants], [asvm.pager_supplies] — and the
+    [asvm.fault_ms] / [asvm.recovery_ms] latency histograms; a private
+    registry is created when omitted.  [trace] receives one structured
+    {!Asvm_obs.Trace.Msg} event per protocol message, an
+    {!Asvm_obs.Trace.Ownership} event per ownership transition, and
+    [asvm.park] / [asvm.park_timeout] / [asvm.stale_drop] notes for
+    requests parked, unparked into a sweep, or dropped.  See
+    [docs/OBSERVABILITY.md]. *)
 val create :
   net:Asvm_mesh.Network.t ->
   config:config ->
@@ -153,10 +159,10 @@ val release_page :
     re-drives requests that were parked at — or actively served by —
     the victim from their surviving origins.  Messages in flight around
     the crash arrive later at the transport dead-letter hook and are
-    salvaged case by case.  Progress counters: [crash.reelections],
-    [crash.redrives], [crash.salvaged], [crash.rescued_pages],
-    [crash.stale_requests], [crash.stale_replies], and the documented
-    loss cases [crash.lost_grants] / [crash.lost_pages]. *)
+    salvaged case by case.  Progress is counted in the [asvm.crash]
+    series, label [event]: [reelection], [redrive], [salvaged],
+    [rescued_page], [stale_request], [stale_reply], and the documented
+    loss cases [lost_grant] / [lost_page]. *)
 val crash_node : t -> node:int -> unit
 
 (** Re-admit a node after {!crash_node}, once the mesh registry marks it
@@ -179,6 +185,12 @@ val sts_retransmits : t -> int
     consumed — which the chaos invariant checker asserts. *)
 val buffers_reserved : t -> node:int -> int
 
+(** A fresh copy of the event counts listed at {!create}, read from
+    the registry, under the names the [perfbench] benchmark reads
+    ([forward.dynamic], [forward.park_timeouts], [pageout.to_pager],
+    [crash.lost_pages], ...; [docs/OBSERVABILITY.md] maps each name to
+    its series).  Counts still at zero are absent; writing to the copy
+    changes nothing. *)
 val counters : t -> Asvm_simcore.Stats.Counters.t
 
 (** Owner-state entries currently held at [node] for [obj] — the

@@ -35,10 +35,8 @@ type t = {
   topology : Topology.t;
   tx : Station.t array;
   rx : Station.t array;
-  mutable messages : int;
-  mutable bytes_sent : int;
   mutable interposer : interposer option;
-  handles : handles option;
+  handles : handles;
   (* Liveness registry (crash/rejoin, see lib/chaos).  The network layer
      only records which nodes are down and how many times each has been
      (re)started; the transports decide what a dead endpoint means for
@@ -49,7 +47,7 @@ type t = {
   incarnation : int array;
 }
 
-let create ?metrics engine config topology =
+let create ?(metrics = Metrics.Registry.create ()) engine config topology =
   let n = Topology.nodes topology in
   {
     engine;
@@ -57,20 +55,15 @@ let create ?metrics engine config topology =
     topology;
     tx = Array.init n (fun _ -> Station.create engine);
     rx = Array.init n (fun _ -> Station.create engine);
-    messages = 0;
-    bytes_sent = 0;
     interposer = None;
     down = Array.make n false;
     incarnation = Array.make n 0;
     handles =
-      Option.map
-        (fun m ->
-          {
-            h_messages = Metrics.Registry.counter m "net.messages";
-            h_bytes = Metrics.Registry.counter m "net.bytes";
-            h_tx_backlog = Metrics.Registry.histogram m "net.tx_backlog_ms";
-          })
-        metrics;
+      {
+        h_messages = Metrics.Registry.counter metrics "net.messages";
+        h_bytes = Metrics.Registry.counter metrics "net.bytes";
+        h_tx_backlog = Metrics.Registry.histogram metrics "net.tx_backlog_ms";
+      };
   }
 
 let topology t = t.topology
@@ -102,20 +95,14 @@ let send t ~src ~dst ~bytes ~sw_send ~sw_recv k =
       (Printf.sprintf
          "Network.send: node id out of range (src=%d dst=%d nodes=%d)" src dst
          n);
-  let index = t.messages in
-  t.messages <- t.messages + 1;
-  t.bytes_sent <- t.bytes_sent + bytes;
-  (match t.handles with
-  | None -> ()
-  | Some h ->
-    Metrics.Counter.incr h.h_messages;
-    Metrics.Counter.incr ~by:bytes h.h_bytes;
-    (* how far behind this sender's tx station is right now: the queue
-       depth seen by the message, expressed in milliseconds of backlog *)
-    let backlog =
-      Float.max 0. (Station.busy_until t.tx.(src) -. Engine.now t.engine)
-    in
-    Metrics.Histogram.observe h.h_tx_backlog backlog);
+  let h = t.handles in
+  let index = Metrics.Counter.value h.h_messages in
+  Metrics.Counter.incr h.h_messages;
+  Metrics.Counter.incr ~by:bytes h.h_bytes;
+  (* how far behind this sender's tx station is right now: the queue
+     depth seen by the message, expressed in milliseconds of backlog *)
+  Metrics.Histogram.observe h.h_tx_backlog
+    (Float.max 0. (Station.busy_until t.tx.(src) -. Engine.now t.engine));
   let wire = wire_latency t ~src ~dst ~bytes in
   (* The sender's software path occupies its tx station; the wire adds pure
      latency; the receiver's software path occupies its rx station. *)
@@ -136,5 +123,5 @@ let send t ~src ~dst ~bytes ~sw_send ~sw_recv k =
       Station.submit t.tx.(src) ~service:sw_send (fun () -> ())
     | ds -> List.iter deliver ds)
 
-let messages t = t.messages
-let bytes_sent t = t.bytes_sent
+let messages t = Metrics.Counter.value t.handles.h_messages
+let bytes_sent t = Metrics.Counter.value t.handles.h_bytes

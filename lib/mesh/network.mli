@@ -50,10 +50,12 @@ type interposer =
     interposer installed the send path is exactly the unperturbed one. *)
 val set_interposer : t -> interposer option -> unit
 
-(** [create ?metrics engine config topology].  When [metrics] is
-    given, each send bumps the [net.messages] / [net.bytes] counters
-    and samples the sender's transmit-queue backlog (ms of queued
-    service time) into the [net.tx_backlog_ms] histogram. *)
+(** [create ?metrics engine config topology].  Each send bumps the
+    [net.messages] / [net.bytes] counters of [metrics] (a private
+    registry when omitted) and samples the sender's transmit-queue
+    backlog (ms of queued service time) into the [net.tx_backlog_ms]
+    histogram.  Those counters are the only store of {!messages} and
+    {!bytes_sent}, so a registry shared by two networks sums them. *)
 val create :
   ?metrics:Asvm_obs.Metrics.Registry.t ->
   Asvm_simcore.Engine.t ->

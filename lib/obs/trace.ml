@@ -2,6 +2,8 @@ type msg = {
   proto : string;
   cls : string;
   group : string;
+  obj : int;
+  page : int;
   src : int;
   dst : int;
   carries_page : bool;
@@ -31,6 +33,8 @@ let create ?(capacity = 4096) () =
 
 let set_jsonl t oc = t.jsonl <- oc
 
+(* [obj] and [page] lead the fields of both [msg] and [owner] events,
+   so one text pattern selects a page's whole history. *)
 let event_to_json ev =
   let kind_fields =
     match ev.kind with
@@ -40,9 +44,11 @@ let event_to_json ev =
         ("proto", Json.String m.proto);
         ("class", Json.String m.cls);
         ("group", Json.String m.group);
+        ("obj", Json.Int m.obj);
+        ("page", Json.Int m.page);
         ("src", Json.Int m.src);
         ("dst", Json.Int m.dst);
-        ("page", Json.Bool m.carries_page);
+        ("carries_page", Json.Bool m.carries_page);
         ("bytes", Json.Int m.bytes);
       ]
     | Ownership { obj; page; owner } ->
@@ -77,11 +83,13 @@ let event_of_json json =
       let* proto = field "proto" Json.to_str in
       let* cls = field "class" Json.to_str in
       let* group = field "group" Json.to_str in
+      let* obj = field "obj" Json.to_int in
+      let* page = field "page" Json.to_int in
       let* src = field "src" Json.to_int in
       let* dst = field "dst" Json.to_int in
-      let* carries_page = field "page" Json.to_bool in
+      let* carries_page = field "carries_page" Json.to_bool in
       let* bytes = field "bytes" Json.to_int in
-      Ok (Msg { proto; cls; group; src; dst; carries_page; bytes })
+      Ok (Msg { proto; cls; group; obj; page; src; dst; carries_page; bytes })
     | "owner" ->
       let* obj = field "obj" Json.to_int in
       let* page = field "page" Json.to_int in
@@ -96,18 +104,23 @@ let event_of_json json =
   Ok { time; node; kind }
 
 let emit t ~time ~node kind =
-  match t with
+  let ev = { time; node; kind } in
+  t.ring.(t.next mod t.capacity) <- ev;
+  t.next <- t.next + 1;
+  match t.jsonl with
+  | Some oc ->
+    output_string oc (Json.to_string (event_to_json ev));
+    output_char oc '\n';
+    flush oc
   | None -> ()
+
+let note t ~time ~node ~category fmt =
+  match t with
+  | None -> Printf.ikfprintf ignore () fmt
   | Some t ->
-    let ev = { time; node; kind } in
-    t.ring.(t.next mod t.capacity) <- ev;
-    t.next <- t.next + 1;
-    (match t.jsonl with
-    | Some oc ->
-      output_string oc (Json.to_string (event_to_json ev));
-      output_char oc '\n';
-      flush oc
-    | None -> ())
+    Printf.ksprintf
+      (fun detail -> emit t ~time ~node (Note { category; detail }))
+      fmt
 
 let emitted t = t.next
 
@@ -115,13 +128,11 @@ let events t =
   let n = min t.next t.capacity in
   List.init n (fun i -> t.ring.((t.next - n + i) mod t.capacity))
 
-let clear t = t.next <- 0
-
 let pp_event ppf ev =
   match ev.kind with
   | Msg m ->
-    Format.fprintf ppf "[%8.3f] %s %-14s %d->%d group=%s%s (%d B)" ev.time
-      m.proto m.cls m.src m.dst m.group
+    Format.fprintf ppf "[%8.3f] %s %-14s %d->%d obj %d page %d group=%s%s (%d B)"
+      ev.time m.proto m.cls m.src m.dst m.obj m.page m.group
       (if m.carries_page then " +page" else "")
       m.bytes
   | Ownership { obj; page; owner } ->

@@ -1,15 +1,14 @@
 (** Structured protocol traces.
 
-    Replaces the free-form string ring buffer of
-    [Asvm_simcore.Tracer]: events carry a stable variant type
-    ({!kind}) so tools can filter and diff traces without parsing
-    display strings.  A trace always keeps a bounded in-memory ring of
-    the most recent events; optionally it also streams every event to
-    a JSONL sink (one JSON object per line) as it is emitted.
+    Events carry a stable variant type ({!kind}) so tools can filter
+    and diff traces without parsing display strings.  A trace always
+    keeps a bounded in-memory ring of the most recent events;
+    optionally it also streams every event to a JSONL sink (one JSON
+    object per line) as it is emitted.
 
-    Emission is nullable by design: protocol code holds a [t option]
-    and calls {!emit} unconditionally — with [None] the call is a
-    no-op, so tracing costs nothing when disabled. *)
+    Tracing is optional by design: protocol code holds a [t option] and
+    builds an event only under [Some _], so a run without a trace
+    builds no events ({!note} does that match itself). *)
 
 (** One protocol message on (or within) a node.
 
@@ -17,13 +16,17 @@
     the message class (e.g. ["request"], ["reply"], ["lock"]); [group]
     buckets classes into the paper's accounting categories
     (["transfer"], ["invalidation"], ["pageout"], ["copy"],
-    ["pager"]).  [carries_page] is true when page contents ride along;
-    [src = dst] marks a local (loopback) hop.  [bytes] is the on-wire
-    size. *)
+    ["pager"]).  [obj] and [page] name the page the message concerns
+    ([page = -1] for a message about the whole object, such as a copy
+    announcement).  [carries_page] is true when page contents ride
+    along; [src = dst] marks a local (loopback) hop.  [bytes] is the
+    on-wire size. *)
 type msg = {
   proto : string;
   cls : string;
   group : string;
+  obj : int;
+  page : int;
   src : int;
   dst : int;
   carries_page : bool;
@@ -35,7 +38,8 @@ type kind =
   | Ownership of { obj : int; page : int; owner : int }
       (** [owner] became the owner of [page] of object [obj]. *)
   | Note of { category : string; detail : string }
-      (** Escape hatch for events without a dedicated constructor. *)
+      (** Events without a dedicated constructor: protocol decisions
+          such as parking a request, and transport incidents. *)
 
 type event = { time : float; node : int; kind : kind }
 (** [time] is simulated milliseconds; [node] is where the event
@@ -51,8 +55,21 @@ val set_jsonl : t -> out_channel option -> unit
 (** Attach (or detach) a JSONL sink.  Every subsequently emitted event
     is written to the channel as one JSON line and flushed. *)
 
-val emit : t option -> time:float -> node:int -> kind -> unit
-(** Record an event.  [emit None] is a no-op. *)
+val emit : t -> time:float -> node:int -> kind -> unit
+(** Record an event. *)
+
+val note :
+  t option ->
+  time:float ->
+  node:int ->
+  category:string ->
+  ('a, unit, string, unit) format4 ->
+  'a
+(** [note tr ~time ~node ~category fmt args...] records a [Note] whose
+    detail is [fmt] applied to [args].  With [tr = None] the detail is
+    never formatted and no event is built, though [args] are still
+    consumed (a few words of allocation): a path taken per message
+    should test for a trace first. *)
 
 val events : t -> event list
 (** Retained events, oldest first (at most [capacity]). *)
@@ -60,9 +77,6 @@ val events : t -> event list
 val emitted : t -> int
 (** Total events emitted over the trace's lifetime, including those
     evicted from the ring. *)
-
-val clear : t -> unit
-(** Drop retained events (the lifetime count and sink stay). *)
 
 val event_to_json : event -> Json.t
 val event_of_json : Json.t -> (event, string) result

@@ -9,4 +9,3 @@ module Engine = Engine
 module Station = Station
 module Rng = Rng
 module Stats = Stats
-module Tracer = Tracer

@@ -59,42 +59,11 @@ module Counters = struct
   let to_list t =
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end
 
-module Histogram = struct
-  type t = { mutable samples : float list; mutable sorted : float array option }
-
-  let create () = { samples = []; sorted = None }
-
-  let add t x =
-    t.samples <- x :: t.samples;
-    t.sorted <- None
-
-  let count t = List.length t.samples
-
-  let sorted t =
-    match t.sorted with
-    | Some a -> a
-    | None ->
-      let a = Array.of_list t.samples in
-      Array.sort compare a;
-      t.sorted <- Some a;
-      a
-
-  let percentile t p =
-    if p < 0. || p > 100. then invalid_arg "Histogram.percentile: p out of range";
-    let a = sorted t in
-    let n = Array.length a in
-    if n = 0 then invalid_arg "Histogram.percentile: empty";
-    if n = 1 then a.(0)
-    else begin
-      let rank = p /. 100. *. float_of_int (n - 1) in
-      let lo = min (n - 2) (int_of_float rank) in
-      let frac = rank -. float_of_int lo in
-      a.(lo) +. (frac *. (a.(lo + 1) -. a.(lo)))
-    end
-
-  let median t = percentile t 50.
+  let of_list l =
+    let t = create () in
+    List.iter (fun (name, by) -> incr ~by t name) l;
+    t
 end
 
 module Series = struct

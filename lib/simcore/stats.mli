@@ -51,26 +51,9 @@ module Counters : sig
 
   (** All counters, sorted by name. *)
   val to_list : t -> (string * int) list
-end
 
-(** Sample store with percentile queries, for latency distributions. *)
-module Histogram : sig
-  type t
-
-  val create : unit -> t
-
-  (** Record one sample. *)
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  (** [percentile t p] for [p] in [\[0, 100\]]; linear interpolation
-      between ranked samples. @raise Invalid_argument if empty or [p]
-      out of range. *)
-  val percentile : t -> float -> float
-
-  (** The 50th percentile. *)
-  val median : t -> float
+  (** Counters holding the given counts (a repeated name sums). *)
+  val of_list : (string * int) list -> t
 end
 
 (** An (x, y) series, e.g. latency as a function of reader count. *)

@@ -76,7 +76,7 @@ type handles = {
 }
 
 (* Registered only when reliability is on, so the disabled-case metric
-   snapshot stays byte-identical to the historical one. *)
+   snapshot carries no reliability series. *)
 type rel_handles = {
   h_retransmits : Metrics.Counter.t;
   h_timeouts : Metrics.Counter.t;
@@ -104,9 +104,7 @@ type 'msg reliable = {
   next_seq : (int * int, int) Hashtbl.t;  (* per (src, dst) link *)
   pending : (int * int * int, 'msg pending) Hashtbl.t;  (* (src, dst, seq) *)
   delivered : (int * int * int, unit) Hashtbl.t;  (* receiver-side dedup *)
-  rh : rel_handles option;
-  mutable n_retransmits : int;
-  mutable n_dups : int;
+  rh : rel_handles;
 }
 
 type 'msg dead_letter =
@@ -117,25 +115,22 @@ type 'msg t = {
   config : config;
   handlers : ('msg -> unit) option array;
   reserved : int array;
-  mutable messages : int;
-  mutable page_messages : int;
   mutable transmissions : int;  (* interposer index: data copies only *)
   reliable : 'msg reliable option;
-  handles : handles option;
+  handles : handles;
   trace : Trace.t option;
   mutable on_dead_letter : 'msg dead_letter option;
   mutable n_dead_letters : int;
 }
 
-let create ?metrics ?trace net config =
+let create ?(metrics = Metrics.Registry.create ()) ?trace net config =
   let n = Asvm_mesh.Topology.nodes (Network.topology net) in
+  let counter = Metrics.Registry.counter metrics in
   {
     net;
     config;
     handlers = Array.make n None;
     reserved = Array.make n 0;
-    messages = 0;
-    page_messages = 0;
     transmissions = 0;
     reliable =
       Option.map
@@ -146,33 +141,20 @@ let create ?metrics ?trace net config =
             pending = Hashtbl.create 64;
             delivered = Hashtbl.create 256;
             rh =
-              Option.map
-                (fun m ->
-                  {
-                    h_retransmits = Metrics.Registry.counter m "sts.retransmits";
-                    h_timeouts = Metrics.Registry.counter m "sts.timeouts";
-                    h_dups =
-                      Metrics.Registry.counter m "sts.duplicates_dropped";
-                  })
-                metrics;
-            n_retransmits = 0;
-            n_dups = 0;
+              {
+                h_retransmits = counter "sts.retransmits";
+                h_timeouts = counter "sts.timeouts";
+                h_dups = counter "sts.duplicates_dropped";
+              };
           })
         config.reliability;
     handles =
-      Option.map
-        (fun m ->
-          {
-            h_msgs_plain =
-              Metrics.Registry.counter m "sts.messages"
-                ~labels:[ ("page", "false") ];
-            h_msgs_page =
-              Metrics.Registry.counter m "sts.messages"
-                ~labels:[ ("page", "true") ];
-            h_bytes = Metrics.Registry.counter m "sts.bytes";
-            h_buffers = Metrics.Registry.gauge m "sts.buffers_reserved";
-          })
-        metrics;
+      {
+        h_msgs_plain = counter "sts.messages" ~labels:[ ("page", "false") ];
+        h_msgs_page = counter "sts.messages" ~labels:[ ("page", "true") ];
+        h_bytes = counter "sts.bytes";
+        h_buffers = Metrics.Registry.gauge metrics "sts.buffers_reserved";
+      };
     trace;
     on_dead_letter = None;
     n_dead_letters = 0;
@@ -181,21 +163,14 @@ let create ?metrics ?trace net config =
 let register t ~node handler = t.handlers.(node) <- Some handler
 let set_on_dead_letter t f = t.on_dead_letter <- f
 
-let debug = Sys.getenv_opt "STS_DEBUG" <> None
-
 (* current credit-pool pressure, summed over nodes *)
-let buffers_gauge t delta =
-  match t.handles with
-  | None -> ()
-  | Some h -> Metrics.Gauge.add h.h_buffers delta
+let buffers_gauge t delta = Metrics.Gauge.add t.handles.h_buffers delta
 
 let reserve_buffer t ~node =
   if t.reserved.(node) >= t.config.page_buffers then false
   else begin
     t.reserved.(node) <- t.reserved.(node) + 1;
     buffers_gauge t 1.;
-    if debug && node = 0 then
-      Printf.eprintf "[sts] reserve node=%d -> %d\n%!" node t.reserved.(node);
     true
   end
 
@@ -204,16 +179,13 @@ let release_buffer t ~node =
     raise
       (Protocol_violation { node; what = "release_buffer: pool underflow" });
   t.reserved.(node) <- t.reserved.(node) - 1;
-  buffers_gauge t (-1.);
-  if debug && node = 0 then
-    Printf.eprintf "[sts] release node=%d -> %d\n%!" node t.reserved.(node)
+  buffers_gauge t (-1.)
 
 let buffers_reserved t ~node = t.reserved.(node)
 let engine t = Network.engine t.net
 let now t = Engine.now (engine t)
 
-let note t ~node ~category detail =
-  Trace.emit t.trace ~time:(now t) ~node (Trace.Note { category; detail })
+let note t ~node ~category = Trace.note t.trace ~time:(now t) ~node ~category
 
 (* ------------------------------------------------------------------ *)
 (* Liveness                                                            *)
@@ -230,8 +202,8 @@ let endpoint_dead t node inc =
    the salvage hook must not reenter protocol state being updated. *)
 let dead_letter t ~src ~dst ~src_dead ~dst_dead msg =
   t.n_dead_letters <- t.n_dead_letters + 1;
-  note t ~node:src ~category:"sts.dead_letter"
-    (Printf.sprintf "dst=%d src_dead=%b dst_dead=%b" dst src_dead dst_dead);
+  note t ~node:src ~category:"sts.dead_letter" "dst=%d src_dead=%b dst_dead=%b"
+    dst src_dead dst_dead;
   match t.on_dead_letter with
   | None -> ()
   | Some f ->
@@ -307,12 +279,9 @@ let deliver_reliable t r (p : 'msg pending) =
   let fresh = not (Hashtbl.mem r.delivered key) in
   if fresh then Hashtbl.replace r.delivered key ()
   else begin
-    r.n_dups <- r.n_dups + 1;
-    (match r.rh with
-    | Some h -> Metrics.Counter.incr h.h_dups
-    | None -> ());
-    note t ~node:p.p_dst ~category:"sts.duplicate_dropped"
-      (Printf.sprintf "src=%d seq=%d" p.p_src p.p_seq)
+    Metrics.Counter.incr r.rh.h_dups;
+    note t ~node:p.p_dst ~category:"sts.duplicate_dropped" "src=%d seq=%d"
+      p.p_src p.p_seq
   end;
   send_ack t ~src:p.p_dst ~dst:p.p_src (fun () -> on_ack r key);
   if fresh then
@@ -331,11 +300,9 @@ let transmit_reliable t r (p : 'msg pending) =
 let rec arm_timer t r (p : 'msg pending) ~timeout =
   Engine.schedule (engine t) ~delay:timeout (fun () ->
       if not p.p_acked then begin
-        (match r.rh with
-        | Some h -> Metrics.Counter.incr h.h_timeouts
-        | None -> ());
-        note t ~node:p.p_src ~category:"sts.timeout"
-          (Printf.sprintf "dst=%d seq=%d after %.2fms" p.p_dst p.p_seq timeout);
+        Metrics.Counter.incr r.rh.h_timeouts;
+        note t ~node:p.p_src ~category:"sts.timeout" "dst=%d seq=%d after %.2fms"
+          p.p_dst p.p_seq timeout;
         if p.p_retransmits >= r.rel.max_retransmits then
           raise
             (Protocol_violation
@@ -349,13 +316,9 @@ let rec arm_timer t r (p : 'msg pending) ~timeout =
                })
         else begin
           p.p_retransmits <- p.p_retransmits + 1;
-          r.n_retransmits <- r.n_retransmits + 1;
-          (match r.rh with
-          | Some h -> Metrics.Counter.incr h.h_retransmits
-          | None -> ());
+          Metrics.Counter.incr r.rh.h_retransmits;
           note t ~node:p.p_src ~category:"sts.retransmit"
-            (Printf.sprintf "dst=%d seq=%d attempt=%d" p.p_dst p.p_seq
-               (p.p_retransmits + 1));
+            "dst=%d seq=%d attempt=%d" p.p_dst p.p_seq (p.p_retransmits + 1);
           transmit_reliable t r p;
           arm_timer t r p ~timeout:(timeout *. r.rel.backoff)
         end
@@ -364,6 +327,13 @@ let rec arm_timer t r (p : 'msg pending) ~timeout =
 (* ------------------------------------------------------------------ *)
 (* Logical send                                                        *)
 (* ------------------------------------------------------------------ *)
+
+let count_send t ~carries_page =
+  let h = t.handles in
+  Metrics.Counter.incr (if carries_page then h.h_msgs_page else h.h_msgs_plain);
+  Metrics.Counter.incr
+    ~by:(t.config.header_bytes + if carries_page then page_bytes else 0)
+    h.h_bytes
 
 let send t ~src ~dst ?(carries_page = false) msg =
   (* A dead node sends nothing: protocol closures scheduled before the
@@ -384,16 +354,7 @@ let send t ~src ~dst ?(carries_page = false) msg =
          the salvage hook.  The reserved-buffer check is skipped — the
          dead node's credit pool was zeroed at the crash. *)
       begin
-        t.messages <- t.messages + 1;
-        if carries_page then t.page_messages <- t.page_messages + 1;
-        (match t.handles with
-        | None -> ()
-        | Some h ->
-          Metrics.Counter.incr
-            (if carries_page then h.h_msgs_page else h.h_msgs_plain);
-          Metrics.Counter.incr
-            ~by:(t.config.header_bytes + if carries_page then page_bytes else 0)
-            h.h_bytes);
+        count_send t ~carries_page;
         dead_letter t ~src ~dst ~src_dead:false ~dst_dead:true msg
       end
     else begin
@@ -407,16 +368,7 @@ let send t ~src ~dst ?(carries_page = false) msg =
                    "send: page sent without a reserved receive buffer (src=%d)"
                    src;
              });
-      t.messages <- t.messages + 1;
-      if carries_page then t.page_messages <- t.page_messages + 1;
-      (match t.handles with
-      | None -> ()
-      | Some h ->
-        Metrics.Counter.incr
-          (if carries_page then h.h_msgs_page else h.h_msgs_plain);
-        Metrics.Counter.incr
-          ~by:(t.config.header_bytes + if carries_page then page_bytes else 0)
-          h.h_bytes);
+      count_send t ~carries_page;
       match t.reliable with
       | None ->
         let src_inc = Network.incarnation t.net src
@@ -480,12 +432,14 @@ let crash_node t ~node =
         Hashtbl.remove r.pending key)
       stale
 
-let messages t = t.messages
-let page_messages t = t.page_messages
+let page_messages t = Metrics.Counter.value t.handles.h_msgs_page
+let messages t = Metrics.Counter.value t.handles.h_msgs_plain + page_messages t
 let dead_letters t = t.n_dead_letters
 
 let retransmits t =
-  match t.reliable with None -> 0 | Some r -> r.n_retransmits
+  match t.reliable with
+  | None -> 0
+  | Some r -> Metrics.Counter.value r.rh.h_retransmits
 
 let duplicates_dropped t =
-  match t.reliable with None -> 0 | Some r -> r.n_dups
+  match t.reliable with None -> 0 | Some r -> Metrics.Counter.value r.rh.h_dups

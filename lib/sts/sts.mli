@@ -82,13 +82,16 @@ val default_config : config
 type 'msg t
 
 (** [create ?metrics ?trace net config] builds a transport over [net].
-    When [metrics] is given, every send bumps the [sts.messages]
-    (labeled [page=true|false]) and [sts.bytes] counters, and the credit
-    pool is mirrored in the [sts.buffers_reserved] gauge (summed over
-    nodes).  With [config.reliability] enabled, [sts.retransmits],
-    [sts.timeouts] and [sts.duplicates_dropped] counters appear too, and
-    [trace] receives one [Note] event per retransmission, expired timer
-    and suppressed duplicate. *)
+    Every send bumps the [sts.messages] (labeled [page=true|false]) and
+    [sts.bytes] counters of [metrics] (a private registry when
+    omitted), and the credit pool is mirrored in the
+    [sts.buffers_reserved] gauge (summed over nodes).  With
+    [config.reliability] enabled, [sts.retransmits], [sts.timeouts] and
+    [sts.duplicates_dropped] counters appear too.  These series are the
+    only store of {!messages}, {!page_messages}, {!retransmits} and
+    {!duplicates_dropped}.  [trace] receives one [Note] event per
+    retransmission, expired timer, suppressed duplicate and dead
+    letter. *)
 val create :
   ?metrics:Asvm_obs.Metrics.Registry.t ->
   ?trace:Asvm_obs.Trace.t ->

@@ -42,10 +42,10 @@ type msg =
     }
   | Fork_request of { dst_node : int; dst_obj : Ids.obj_id; page : int }
   | Fork_supply of { dst_obj : Ids.obj_id; page : int; contents : Contents.t }
-  | Pager_hop of { cont : int }
-      (** local Mach IPC with the user-level pager task; modeled as a
-          loopback NORMA message so the manager node's send/receive
-          stations are honestly occupied *)
+  | Pager_hop of { cont : int; obj : Ids.obj_id; page : int }
+      (** local Mach IPC with the user-level pager task about [page] of
+          [obj]; modeled as a loopback NORMA message so the manager
+          node's send/receive stations are honestly occupied *)
 
 (* page-state bytes in the manager's dense matrix *)
 let st_invalid = '\000'
@@ -231,59 +231,55 @@ let ot_counter t row ci =
 
 let page_bytes = 8192
 
-(* XMM_DEBUG_PAGE=<n>: trace every protocol message touching page n of
-   any object to stderr — the counterpart of ASVM_DEBUG_PAGE for the
-   baseline protocol. *)
-let debug_page =
-  match Sys.getenv_opt "XMM_DEBUG_PAGE" with
-  | Some s -> ( try int_of_string s with _ -> -1)
-  | None -> -1
-
-let page_of_msg = function
-  | Request { page; _ }
-  | Lock { page; _ }
-  | Lock_done { page; _ }
-  | Supply { page; _ }
-  | Grant { page; _ }
-  | Returned { page; _ }
-  | Fork_request { page; _ }
-  | Fork_supply { page; _ } ->
-    page
-  | Pager_hop _ -> -1
+(* The object and page a message concerns, for its trace event. *)
+let subject_of_msg = function
+  | Request { obj; page; _ }
+  | Lock { obj; page; _ }
+  | Lock_done { obj; page; _ }
+  | Supply { obj; page; _ }
+  | Grant { obj; page }
+  | Returned { obj; page; _ }
+  | Fork_request { dst_obj = obj; page; _ }
+  | Fork_supply { dst_obj = obj; page; _ }
+  | Pager_hop { obj; page; _ } ->
+    (obj, page)
 
 let send t ~src ~dst_node ?carries_page ?row msg =
-  let page = carries_page = Some true in
+  let with_page = carries_page = Some true in
   let row = match row with Some r -> r | None -> row_of_msg msg in
-  let cls, group = msg_rows.(row) in
-  if debug_page >= 0 && page_of_msg msg = debug_page then
-    Printf.eprintf "[xmm %8.3f] %d -> %d : %s/%s%s\n%!" (now t) src dst_node
-      cls group
-      (if carries_page = Some true then " [page]" else "");
-  let ci = if not page then 0 else if src = dst_node then 1 else 2 in
+  let ci = if not with_page then 0 else if src = dst_node then 1 else 2 in
   Metrics.Counter.incr (msgs_counter t row ci);
   if row_is_transfer.(row) then Metrics.Counter.incr (ot_counter t row ci);
-  Trace.emit t.trace ~time:(now t) ~node:src
-    (Trace.Msg
-       {
-         proto = "xmm";
-         cls;
-         group;
-         src;
-         dst = dst_node;
-         carries_page = page;
-         bytes = (t.header_bytes + if page then page_bytes else 0);
-       });
+  (match t.trace with
+  | None -> ()
+  | Some tr ->
+    let cls, group = msg_rows.(row) in
+    let obj, page = subject_of_msg msg in
+    Trace.emit tr ~time:(now t) ~node:src
+      (Trace.Msg
+         {
+           proto = "xmm";
+           cls;
+           group;
+           obj;
+           page;
+           src;
+           dst = dst_node;
+           carries_page = with_page;
+           bytes = (t.header_bytes + if with_page then page_bytes else 0);
+         }));
   Ipc.send t.ipc ~src ~dst:t.ports.(dst_node) ?carries_page msg
 
 (* One hop of local IPC between the kernel-resident XMM stack and the
-   user-level pager task on the same node.  [row] names the Mach
-   pager-interface call the hop models (data_request / data_supply /
-   data_write). *)
-let pager_hop t ~node ~carries_page ~row k =
+   user-level pager task of manager [ms], about [page].  [row] names
+   the Mach pager-interface call the hop models (data_request /
+   data_supply / data_write). *)
+let pager_hop t ms ~page ~carries_page ~row k =
   let id = t.next_cont in
   t.next_cont <- id + 1;
   Hashtbl.add t.conts id k;
-  send t ~src:node ~dst_node:node ~carries_page ~row (Pager_hop { cont = id })
+  send t ~src:ms.m_node ~dst_node:ms.m_node ~carries_page ~row
+    (Pager_hop { cont = id; obj = ms.m_obj; page })
 
 let observe_fault t ~obj ~page ~origin ~write =
   (match Hashtbl.find_opt t.recovering (obj, page, origin) with
@@ -363,9 +359,11 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
     make_coherent t ms ~origin ~page ~desired (fun () ->
         flush_readers t ms ~origin ~page ~desired (fun () ->
             let record_owner () =
-              if Prot.equal desired Prot.Read_write then
-                Trace.emit t.trace ~time:(now t) ~node:ms.m_node
+              match t.trace with
+              | Some tr when Prot.equal desired Prot.Read_write ->
+                Trace.emit tr ~time:(now t) ~node:ms.m_node
                   (Trace.Ownership { obj; page; owner = origin })
+              | Some _ | None -> ()
             in
             (* The contents-free upgrade fast path is only sound while the
                origin still holds the data.  The manager's matrix can be
@@ -407,11 +405,11 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
                  the origin as the page's only user. Local IPC to the
                  user-level pager task: request out, supply (with page)
                  back. *)
-              pager_hop t ~node:ms.m_node ~carries_page:false
+              pager_hop t ms ~page ~carries_page:false
                 ~row:row_pager_request (fun () ->
                   Store_pager.request ms.m_pager ~obj ~page
                     ~words:t.words_per_page (fun contents ->
-                      pager_hop t ~node:ms.m_node ~carries_page:true
+                      pager_hop t ms ~page ~carries_page:true
                         ~row:row_pager_supply (fun () ->
                           if origin_ok () then begin
                             Bytes.set (node_state ms origin) page
@@ -472,7 +470,7 @@ let manager_lock_done t ms ~page ~contents =
        IPC carrying the page — Mach's memory_object_data_write, part of
        the transfer's critical path); the disk write is paid the first
        time the page is cleaned *)
-    pager_hop t ~node:ms.m_node ~carries_page:true ~row:row_pager_write
+    pager_hop t ms ~page ~carries_page:true ~row:row_pager_write
       (fun () ->
         if Bytes.get ms.m_cleaned page = '\000' then begin
           Bytes.set ms.m_cleaned page '\001';
@@ -618,7 +616,7 @@ let handle t node msg =
   | Fork_supply { dst_obj; page; contents } ->
     Vm.data_supply t.vms.(node) ~obj:dst_obj ~page ~contents
       ~lock:Prot.Read_only ~mode:Emmi.Supply_normal
-  | Pager_hop { cont } -> (
+  | Pager_hop { cont; _ } -> (
     match Hashtbl.find_opt t.conts cont with
     | Some k ->
       Hashtbl.remove t.conts cont;

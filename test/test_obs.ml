@@ -165,22 +165,35 @@ let test_trace_ring_and_jsonl () =
   let oc = open_out path in
   let tr = Trace.create ~capacity:4 () in
   Trace.set_jsonl tr (Some oc);
+  let event i =
+    {
+      Trace.time = float_of_int i;
+      node = i mod 3;
+      kind =
+        (match i mod 3 with
+        | 0 ->
+          Trace.Msg
+            {
+              Trace.proto = "asvm";
+              cls = "request";
+              group = "transfer";
+              obj = 2;
+              page = i;
+              src = i mod 3;
+              dst = (i + 1) mod 3;
+              carries_page = i mod 2 = 0;
+              bytes = 32;
+            }
+        | 1 -> Trace.Ownership { obj = 1; page = i; owner = i mod 3 }
+        | _ -> Trace.Note { category = "asvm.park"; detail = string_of_int i });
+    }
+  in
   for i = 0 to 9 do
-    Trace.emit (Some tr) ~time:(float_of_int i) ~node:(i mod 3)
-      (if i mod 2 = 0 then
-         Trace.Msg
-           {
-             Trace.proto = "asvm";
-             cls = "request";
-             group = "transfer";
-             src = i mod 3;
-             dst = (i + 1) mod 3;
-             carries_page = false;
-             bytes = 32;
-           }
-       else Trace.Ownership { obj = 1; page = i; owner = i mod 3 })
+    let e = event i in
+    Trace.emit tr ~time:e.Trace.time ~node:e.node e.kind
   done;
-  Trace.emit None ~time:0. ~node:0 (Trace.Note { category = "x"; detail = "noop" });
+  (* an absent trace formats nothing and records nothing *)
+  Trace.note None ~time:0. ~node:0 ~category:"x" "noop %d" 1;
   close_out oc;
   (* the ring keeps only the last [capacity] events *)
   Alcotest.(check int) "emitted" 10 (Trace.emitted tr);
@@ -205,7 +218,12 @@ let test_trace_ring_and_jsonl () =
         match Trace.event_of_json j with
         | Error e -> Alcotest.failf "line %d: %s" i e
         | Ok e ->
-          Alcotest.(check (float 0.)) "time" (float_of_int i) e.Trace.time))
+          (* every field, the message's object, page and contents flag
+             included, survives the round trip *)
+          Alcotest.(check bool)
+            (Printf.sprintf "line %d round-trips" i)
+            true
+            (e = event i)))
     lines;
   Sys.remove path
 
@@ -323,6 +341,56 @@ let test_fault_instrumented () =
   Alcotest.(check bool) "trace nonempty" true (!n > 0);
   Sys.remove path
 
+(* Section 3.3 read from the trace rather than the registry: among the
+   measured upgrade's transfer-group messages, those about the page
+   whose ownership it moved are exactly the request, the reply
+   carrying the page, and the owner_update to the static manager. *)
+let test_fault_trace_three_messages () =
+  let module Fault_micro = Asvm_workloads.Fault_micro in
+  let trace = ref None and start = ref 0 in
+  let on_start cl =
+    let tr = Option.get (Cluster.trace cl) in
+    trace := Some tr;
+    start := Trace.emitted tr
+  in
+  ignore
+    (Fault_micro.measure_instrumented ~nodes:8
+       ~tweak:(fun c -> { c with Config.trace_capacity = Some 4096 })
+       ~on_start ~mm:Config.Mm_asvm
+       (Fault_micro.Write_upgrade { read_copies = 2 }));
+  let tr = Option.get !trace in
+  let fault_events =
+    let all = Trace.events tr in
+    let skip = List.length all - (Trace.emitted tr - !start) in
+    List.filteri (fun i _ -> i >= skip) all
+  in
+  let obj, page =
+    match
+      List.filter_map
+        (fun (e : Trace.event) ->
+          match e.kind with
+          | Trace.Ownership { obj; page; _ } -> Some (obj, page)
+          | _ -> None)
+        fault_events
+    with
+    | [ moved ] -> moved
+    | l -> Alcotest.failf "expected one ownership change, got %d" (List.length l)
+  in
+  let transfer =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.kind with
+        | Trace.Msg m when m.group = "transfer" && m.obj = obj && m.page = page
+          ->
+          Some (m.cls, m.carries_page)
+        | _ -> None)
+      fault_events
+  in
+  Alcotest.(check (list (pair string bool)))
+    "request, reply with contents, owner_update"
+    [ ("request", false); ("reply", true); ("owner_update", false) ]
+    transfer
+
 let () =
   Alcotest.run "obs"
     [
@@ -342,5 +410,7 @@ let () =
           Alcotest.test_case "asvm 3 messages" `Quick test_asvm_three_messages;
           Alcotest.test_case "xmm 5 messages" `Quick test_xmm_five_messages;
           Alcotest.test_case "instrumented fault" `Quick test_fault_instrumented;
+          Alcotest.test_case "asvm 3 messages in the trace" `Quick
+            test_fault_trace_three_messages;
         ] );
     ]

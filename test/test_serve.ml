@@ -343,6 +343,83 @@ let test_serve_seed_changes_run () =
     "different seed gives a different run" false
     (a.Serve.latency_values = b.Serve.latency_values)
 
+(* The registry series behind each name of [Asvm.counters], the view
+   the benchmark reads.  Pinned here so a rename on either side shows. *)
+let asvm_count_series =
+  let fwd m = ("asvm.forwarding", [ ("mechanism", m) ]) in
+  let copy op = ("asvm.copy", [ ("op", op) ]) in
+  let pageout step = ("asvm.pageout", [ ("step", step) ]) in
+  let crash event = ("asvm.crash", [ ("event", event) ]) in
+  [
+    ("forward.loop_breaks", fwd "loop_break");
+    ("forward.dynamic", fwd "dynamic");
+    ("forward.to_static", fwd "to_static");
+    ("forward.static_hit", fwd "static_hit");
+    ("forward.fresh_hint", fwd "fresh_hint");
+    ("forward.paged_hint", fwd "paged_hint");
+    ("forward.global_sweeps", fwd "global_sweep");
+    ("forward.park_timeouts", ("asvm.park_timeouts", []));
+    ("ownership_transfers", ("asvm.ownership_transfers", []));
+    ("invalidations", ("asvm.invalidations", []));
+    ("zero_grants", ("asvm.zero_grants", []));
+    ("pager.supplies", ("asvm.pager_supplies", []));
+    ("pushes", copy "push");
+    ("push_scans", copy "push_scan");
+    ("copy.pulls", copy "pull");
+    ("copy.retries", copy "retry");
+    ("pageout.reader_handoffs", pageout "reader_handoff");
+    ("pageout.internode", pageout "internode");
+    ("pageout.to_pager", pageout "to_pager");
+    ("crash.reelections", crash "reelection");
+    ("crash.redrives", crash "redrive");
+    ("crash.salvaged", crash "salvaged");
+    ("crash.rescued_pages", crash "rescued_page");
+    ("crash.stale_requests", crash "stale_request");
+    ("crash.stale_replies", crash "stale_reply");
+    ("crash.lost_grants", crash "lost_grant");
+    ("crash.lost_pages", crash "lost_page");
+  ]
+
+(* 16 nodes at 4,000 req/s queue the mesh past the 50 ms park timeout,
+   so the cell takes the parking-cycle escape as well as every
+   eviction step: each count [Asvm.counters] shows must equal its
+   registry series, and the park timeouts must reach the snapshot. *)
+let test_asvm_counts_in_registry () =
+  let view = ref (Asvm_simcore.Stats.Counters.create ()) in
+  let snap = ref [] in
+  let inspect cl =
+    (match Asvm_cluster.Cluster.backend cl with
+    | `Asvm a -> view := Asvm_core.Asvm.counters a
+    | `Xmm _ -> Alcotest.fail "expected an ASVM cluster");
+    snap := Asvm_cluster.Cluster.metrics_snapshot cl
+  in
+  ignore
+    (Serve.run ~mm:Config.Mm_asvm ~inspect
+       {
+         Serve.default_params with
+         Serve.nodes = 16;
+         process = Arrival.Poisson { rate_per_s = 4000. };
+       });
+  let series_value (name, labels) =
+    match Metrics.find !snap name labels with
+    | Some (Metrics.Counter_v n) -> n
+    | _ -> Alcotest.failf "no counter series %s in the snapshot" name
+  in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name asvm_count_series) then
+        Alcotest.failf "Asvm.counters shows %s, which has no series" name)
+    (Asvm_simcore.Stats.Counters.to_list !view);
+  List.iter
+    (fun (name, series) ->
+      Alcotest.(check int) name
+        (Asvm_simcore.Stats.Counters.get !view name)
+        (series_value series))
+    asvm_count_series;
+  Alcotest.(check bool)
+    "park timeouts in the snapshot" true
+    (series_value ("asvm.park_timeouts", []) > 0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -387,5 +464,7 @@ let () =
           Alcotest.test_case "deterministic in the seed" `Quick
             test_serve_deterministic;
           Alcotest.test_case "seed is live" `Quick test_serve_seed_changes_run;
+          Alcotest.test_case "asvm counts live in the registry" `Quick
+            test_asvm_counts_in_registry;
         ] );
     ]

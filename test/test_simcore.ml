@@ -202,26 +202,6 @@ let test_counters () =
   Alcotest.(check int) "y" 1 (Stats.Counters.get c "y");
   Alcotest.(check int) "absent" 0 (Stats.Counters.get c "z")
 
-let test_histogram () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.add h) [ 5.; 1.; 3.; 2.; 4. ];
-  Alcotest.(check int) "count" 5 (Stats.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "median" 3. (Stats.Histogram.median h);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Stats.Histogram.percentile h 0.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Stats.Histogram.percentile h 100.);
-  Alcotest.(check (float 1e-9)) "p25" 2. (Stats.Histogram.percentile h 25.)
-
-let histogram_bounds =
-  QCheck.Test.make ~name:"percentiles stay within sample range" ~count:200
-    QCheck.(pair (list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.)) (float_bound_inclusive 100.))
-    (fun (samples, p) ->
-      let h = Stats.Histogram.create () in
-      List.iter (Stats.Histogram.add h) samples;
-      let v = Stats.Histogram.percentile h p in
-      let lo = List.fold_left min infinity samples in
-      let hi = List.fold_left max neg_infinity samples in
-      v >= lo -. 1e-9 && v <= hi +. 1e-9)
-
 let test_linear_fit () =
   let s = Stats.Series.create "lat" in
   (* y = 2.7 + 0.48 x, the paper's ASVM Figure 11 model *)
@@ -231,27 +211,6 @@ let test_linear_fit () =
   let intercept, slope = Stats.Series.linear_fit s in
   Alcotest.(check (float 1e-9)) "intercept" 2.7 intercept;
   Alcotest.(check (float 1e-9)) "slope" 0.48 slope
-
-let test_tracer_ring () =
-  let t = Asvm_simcore.Tracer.create ~capacity:3 in
-  for i = 1 to 5 do
-    Asvm_simcore.Tracer.emit (Some t) ~time:(float_of_int i) ~node:0
-      ~category:"x" ~detail:(string_of_int i)
-  done;
-  Alcotest.(check int) "emitted counts all" 5 (Asvm_simcore.Tracer.emitted t);
-  let kept =
-    List.map
-      (fun (e : Asvm_simcore.Tracer.event) -> e.detail)
-      (Asvm_simcore.Tracer.events t)
-  in
-  Alcotest.(check (list string)) "ring keeps newest, in order" [ "3"; "4"; "5" ]
-    kept;
-  Asvm_simcore.Tracer.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Asvm_simcore.Tracer.events t))
-
-let test_tracer_none_noop () =
-  (* emitting to an absent tracer must be free and safe *)
-  Asvm_simcore.Tracer.emit None ~time:0. ~node:0 ~category:"x" ~detail:"y"
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -289,10 +248,6 @@ let () =
         [
           Alcotest.test_case "tally" `Quick test_tally;
           Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          qtest histogram_bounds;
           Alcotest.test_case "linear fit" `Quick test_linear_fit;
-          Alcotest.test_case "tracer ring" `Quick test_tracer_ring;
-          Alcotest.test_case "tracer none" `Quick test_tracer_none_noop;
         ] );
     ]
