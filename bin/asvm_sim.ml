@@ -316,10 +316,11 @@ let serve_cmd =
     in
     let r = Serve.run ~mm ~tweak:(fun c -> { c with Config.trace_out }) p in
     Printf.printf
-      "%s %s oversub %.1f: %d requests on %d nodes (%d-page working set)\n"
+      "%s %s oversub %.1f: %d/%d requests completed on %d nodes (%d-page \
+       working set)\n"
       (Config.mm_name mm)
       (Arrival.process_name process)
-      oversub r.Serve.requests nodes
+      oversub r.Serve.completions r.Serve.requests nodes
       (Serve.working_set_pages p);
     Printf.printf
       "  latency: p50 %.2f ms, p99 %.2f ms, p999 %.2f ms, max %.2f ms\n"
@@ -340,13 +341,17 @@ let serve_cmd =
       print_snapshot ~header:"metric registry snapshot:" r.Serve.metrics;
     Option.iter
       (fun f -> Printf.printf "\ntrace written to %s\n" f)
-      trace_out
+      trace_out;
+    (* the percentiles cover completed requests only: a stranded one
+       would not show in them *)
+    if r.Serve.completions <> r.Serve.requests then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Open-loop serving workload: SLO percentiles under memory \
-          oversubscription (see docs/SERVING.md).")
+          oversubscription (see docs/SERVING.md).  Exits 1 when a request \
+          does not complete.")
     Term.(
       const run $ mm_term $ nodes_term $ arrival_term $ rate_term
       $ oversub_term $ duration_term $ read_fraction_term $ zipf_term

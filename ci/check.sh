@@ -64,6 +64,15 @@ if grep -q '"percentiles_ordered":false' BENCH_serve.json; then
   exit 1
 fi
 
+echo "== serve strand check (64 nodes, 16,000 req/s, seeds 32 44 88 111)"
+# serve-asvm-64's parameters on the arrival seeds where a self-owned
+# write upgrade that waited for a receive buffer was once lost;
+# asvm-sim serve exits nonzero when any request does not complete
+for seed in 32 44 88 111; do
+  dune exec bin/asvm_sim.exe -- serve --nodes 64 --rate 16000 \
+    --duration-ms 200 --seed "$seed"
+done
+
 echo "== crash-soak smoke (--crash --quick)"
 # rolling k-of-n whole-node crash/rejoin under every workload and both
 # protocols (docs/AVAILABILITY.md); nonzero exit on any violation,

@@ -227,7 +227,7 @@ type inst = {
   i_waiting_inbound : (int, request Queue.t) Hashtbl.t;
   (* answers this node owes for delivered-but-not-yet-answered messages
      (invalidations, push locks, pager offers: anything whose reply
-     waits on an async kernel call or a buffer retry loop).  If the
+     waits on an async kernel call or a receive-buffer credit).  If the
      node crashes inside that window, recovery synthesizes each owed
      answer at its destination so the waiting peer is not stranded. *)
   mutable i_owed_acks : (int * msg) list;
@@ -1460,17 +1460,6 @@ let reissue t node ~origin_obj ~page ~want ~upgrade =
   in
   route_request t node req
 
-(* Reserve a page receive buffer at [node], retrying every [retry_ms]
-   while its pool is exhausted (flow control), then run [k]; a node
-   that goes down stops retrying. *)
-let with_buffer t ~node ~retry_ms k =
-  let rec acquire () =
-    if Network.is_down t.net node then ()
-    else if Sts.reserve_buffer t.sts ~node then k ()
-    else Engine.schedule (Vm.engine t.vms.(node)) ~delay:retry_ms acquire
-  in
-  acquire ()
-
 let rec handle t node msg =
   match msg with
   | A_request req -> route_request t node req
@@ -1511,7 +1500,7 @@ let rec handle t node msg =
       end
       else
         (* the read copy vanished while the grant was in flight *)
-        with_buffer t ~node ~retry_ms:0.5 (fun () ->
+        Sts.acquire_buffer t.sts ~node (fun () ->
             reissue t node ~origin_obj:obj ~page ~want:Prot.Read_write
               ~upgrade:false)
     end
@@ -1639,13 +1628,13 @@ let rec handle t node msg =
       update_static t i ~page ~hint:S_paged
     end
   | A_pager_offer { obj; page; from } ->
-    (* the grant may wait in a buffer retry loop: owe it, so a crash
-       mid-loop still answers — the contents then dead-letter into the
+    (* the grant may wait for a receive buffer: owe it, so a crash
+       mid-wait still answers — the contents then dead-letter into the
        store, which survives the crash *)
     let i = inst t node obj in
     let owed = (from, A_pager_grant { obj; page }) in
     i.i_owed_acks <- owed :: i.i_owed_acks;
-    with_buffer t ~node ~retry_ms:1.0 (fun () ->
+    Sts.acquire_buffer t.sts ~node (fun () ->
         i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
         Hashtbl.replace i.i_pageouts page from;
         send t ~src:node ~dst:from (A_pager_grant { obj; page }))
@@ -1733,11 +1722,11 @@ let rec handle t node msg =
     push_op_done (inst t node home) ~page
   | A_push_prepare { copy; home; page; from } ->
     (* reserve a buffer for the incoming pushed page of a shared copy;
-       owe the pusher an ack in case this node crashes mid-retry *)
+       owe the pusher an ack in case this node crashes mid-wait *)
     let i = inst t node copy in
     let owed = (from, A_push_ack { home; page }) in
     i.i_owed_acks <- owed :: i.i_owed_acks;
-    with_buffer t ~node ~retry_ms:1.0 (fun () ->
+    Sts.acquire_buffer t.sts ~node (fun () ->
         i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
         send t ~src:node ~dst:from (A_push_ready { copy; home; page }))
   | A_push_ready { copy; home; page } -> (
@@ -2185,29 +2174,15 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
         in
         let i = inst t node obj in
         match Hashtbl.find_opt i.i_pages page with
-        | Some ps when upgrade ->
+        | Some _ when upgrade ->
           (* self-owned upgrade: run the owner machine locally. The
              reservation covers the case where the request queues behind
              an in-flight grant, ownership leaves, and the request is
-             forwarded off-node — its answer then carries a page. *)
-          let req =
-            {
-              r_origin = node;
-              r_origin_obj = obj;
-              r_obj = obj;
-              r_page = page;
-              r_want = desired;
-              r_upgrade = true;
-              r_scan_home = obj;
-              r_hops = 0;
-              r_ring = -1;
-              r_kind = K_fault;
-              r_origin_inc = Network.incarnation t.net node;
-              r_gen = -1;
-            }
-          in
-          with_buffer t ~node ~retry_ms:0.5 (fun () ->
-              owner_handle t node i ps req)
+             forwarded off-node — its answer then carries a page.
+             Ownership may equally leave while the request waits for
+             the reservation, so it is routed once it holds one: to the
+             current owner state here, or off-node. *)
+          Sts.acquire_buffer t.sts ~node (fun () -> fire (-1))
         | _ ->
           if Hashtbl.mem i.i_outstanding page then
             (* one request per page at a time: a second kernel request
@@ -2223,7 +2198,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
             i.i_next_gen <- gen + 1;
             Hashtbl.replace i.i_outstanding page
               (Engine.now (Vm.engine t.vms.(node)), gen);
-            with_buffer t ~node ~retry_ms:0.5 (fun () -> fire gen)
+            Sts.acquire_buffer t.sts ~node (fun () -> fire gen)
           end
       in
       let manager =

@@ -45,7 +45,10 @@ val default_params : params
 type result = {
   mm : Config.mm;
   requests : int;
-  completions : int;  (** open loop drains: equals [requests] *)
+  completions : int;
+      (** requests that completed by the drain; fewer than [requests]
+          when the protocol strands one (percentiles cover completed
+          requests only) *)
   sim_ms : float;  (** serving window start (post warm-up) to drain *)
   goodput_rps : float;  (** completions per simulated second *)
   mean_ms : float;

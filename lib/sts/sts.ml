@@ -115,6 +115,7 @@ type 'msg t = {
   config : config;
   handlers : ('msg -> unit) option array;
   reserved : int array;
+  waiters : (unit -> unit) Queue.t array;  (* per node, oldest first *)
   mutable transmissions : int;  (* interposer index: data copies only *)
   reliable : 'msg reliable option;
   handles : handles;
@@ -131,6 +132,7 @@ let create ?(metrics = Metrics.Registry.create ()) ?trace net config =
     config;
     handlers = Array.make n None;
     reserved = Array.make n 0;
+    waiters = Array.init n (fun _ -> Queue.create ());
     transmissions = 0;
     reliable =
       Option.map
@@ -174,16 +176,36 @@ let reserve_buffer t ~node =
     true
   end
 
+let engine t = Network.engine t.net
+let now t = Engine.now (engine t)
+
+let acquire_buffer t ~node k =
+  if Network.is_down t.net node then ()
+  else if reserve_buffer t ~node then k ()
+  else Queue.push k t.waiters.(node)
+
 let release_buffer t ~node =
   if t.reserved.(node) <= 0 then
     raise
       (Protocol_violation { node; what = "release_buffer: pool underflow" });
-  t.reserved.(node) <- t.reserved.(node) - 1;
-  buffers_gauge t (-1.)
+  let q = t.waiters.(node) in
+  if Queue.is_empty q then begin
+    t.reserved.(node) <- t.reserved.(node) - 1;
+    buffers_gauge t (-1.)
+  end
+  else begin
+    (* The credit passes to the oldest waiter without returning to the
+       pool.  The waiter runs as a fresh engine event: the releasing
+       handler may still be updating the state the waiter reads.  A
+       crash in between voids the credit (see [crash_node]) and the
+       waiter with it. *)
+    let k = Queue.take q in
+    let inc = Network.incarnation t.net node in
+    Engine.schedule (engine t) ~delay:0. (fun () ->
+        if Network.incarnation t.net node = inc then k ())
+  end
 
 let buffers_reserved t ~node = t.reserved.(node)
-let engine t = Network.engine t.net
-let now t = Engine.now (engine t)
 
 let note t ~node ~category = Trace.note t.trace ~time:(now t) ~node ~category
 
@@ -409,10 +431,12 @@ let send t ~src ~dst ?(carries_page = false) msg =
 (* ------------------------------------------------------------------ *)
 
 let crash_node t ~node =
-  (* The node's preallocated receive buffers die with it; compensate the
-     cluster-wide gauge so live nodes still balance to zero. *)
+  (* The node's preallocated receive buffers die with it, and so do the
+     requests waiting for one; compensate the cluster-wide gauge so live
+     nodes still balance to zero. *)
   buffers_gauge t (-.float_of_int t.reserved.(node));
   t.reserved.(node) <- 0;
+  Queue.clear t.waiters.(node);
   match t.reliable with
   | None -> ()
   | Some r ->

@@ -5,7 +5,9 @@
     one 8 KB VM page. Because page contents are only ever transferred in
     response to a request from their receiver, the receiver can
     preallocate page buffers; flow control reduces to a per-node credit
-    pool that requesters draw from before asking for data.
+    pool that requesters draw from before asking for data.  A request
+    that finds the pool empty waits, in FIFO order, for the next
+    released credit.
 
     The software path is far cheaper than NORMA's: no typed marshalling,
     no port-right bookkeeping.
@@ -112,13 +114,23 @@ val register : 'msg t -> node:int -> ('msg -> unit) -> unit
     behalf of a request). *)
 val send : 'msg t -> src:int -> dst:int -> ?carries_page:bool -> 'msg -> unit
 
-(** Reserve a preallocated page receive buffer at [node] before issuing a
-    request whose answer carries page contents. Returns [false] when the
-    pool is exhausted (the caller must defer its request). *)
+(** [acquire_buffer t ~node k] reserves a preallocated page receive
+    buffer at [node] for a request whose answer carries page contents,
+    then runs [k].  When a credit is free, [k] runs at once; otherwise
+    it waits, in FIFO order, for the next credit released at [node].
+    Does nothing when [node] is down. *)
+val acquire_buffer : 'msg t -> node:int -> (unit -> unit) -> unit
+
+(** Reserve a buffer at [node] without waiting.  Returns [false] when
+    the pool is exhausted. *)
 val reserve_buffer : 'msg t -> node:int -> bool
 
 (** Return a previously reserved buffer at [node] once the page has been
-    consumed. @raise Protocol_violation on over-release. *)
+    consumed.  When requests wait at [node], the credit passes to the
+    oldest of them instead of returning to the pool: its continuation
+    runs as a fresh engine event at the current time, never inside the
+    caller, and not at all if [node] crashes first.
+    @raise Protocol_violation on over-release. *)
 val release_buffer : 'msg t -> node:int -> unit
 
 (** Currently reserved buffers at [node] (for invariant checks). *)
@@ -145,10 +157,11 @@ val set_on_dead_letter : 'msg t -> 'msg dead_letter option -> unit
 
 (** Tear down the node's per-transport state at a crash: zero its
     receive-buffer credit pool (compensating the
-    [sts.buffers_reserved] gauge) and quietly disarm every
-    retransmission timer for messages it sent or was to receive.  The
-    caller must already have marked the node down in the mesh
-    registry. *)
+    [sts.buffers_reserved] gauge), drop the requests waiting for a
+    credit, including one a release has already handed a credit to,
+    and quietly disarm every retransmission timer for messages it sent
+    or was to receive.  The caller must already have marked the node
+    down in the mesh registry. *)
 val crash_node : 'msg t -> node:int -> unit
 
 (** Undeliverable messages diverted to the dead-letter hook so far. *)

@@ -366,21 +366,22 @@ let test_zero_caches () =
 
 (* ----------------------- flow control under starvation -------------- *)
 
+(* a single receive buffer per node *)
+let one_buffer_config ~nodes =
+  let config = Config.default ~nodes in
+  {
+    config with
+    asvm =
+      {
+        config.asvm with
+        sts = { config.asvm.sts with Asvm_sts.Sts.page_buffers = 1 };
+      };
+  }
+
 let test_tiny_buffer_pool () =
-  (* with a single receive buffer per node, requests defer and retry;
-     the workload still completes with correct values *)
-  let config = Config.default ~nodes:4 in
-  let config =
-    {
-      config with
-      asvm =
-        {
-          config.asvm with
-          sts = { config.asvm.sts with Asvm_sts.Sts.page_buffers = 1 };
-        };
-    }
-  in
-  let cl = Cluster.create config in
+  (* requests wait for their node's only buffer; the workload still
+     completes with correct values *)
+  let cl = Cluster.create (one_buffer_config ~nodes:4) in
   let pages = 6 in
   let obj =
     Cluster.create_shared_object cl ~size_pages:pages ~sharers:[ 0; 1; 2; 3 ] ()
@@ -406,6 +407,42 @@ let test_tiny_buffer_pool () =
   let a = match Cluster.backend cl with `Asvm a -> a | `Xmm _ -> assert false in
   Alcotest.(check (list string)) "invariants clean" []
     (Asvm_core.Asvm.check_invariants a)
+
+let test_upgrade_waits_for_buffer () =
+  (* a self-owned write upgrade that waits for the node's only receive
+     buffer while ownership leaves must still complete: it is routed
+     afresh once it holds the buffer *)
+  let cl = Cluster.create (one_buffer_config ~nodes:2) in
+  let obj = Cluster.create_shared_object cl ~size_pages:2 ~sharers:[ 0; 1 ] () in
+  let task node =
+    let t = Cluster.create_task cl ~node in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:2
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let t0 = task 0 and t1 = task 1 in
+  Cluster.read_word cl ~task:t0 ~addr:0 ignore;
+  Cluster.run cl;
+  (* node 0 owns page 0 read-only; its only buffer goes to a page-1
+     read while it upgrades page 0 and node 1 writes page 0 *)
+  let done_ = ref 0 in
+  Cluster.read_word cl ~task:t0 ~addr:wpp (fun _ -> incr done_);
+  Cluster.write_word cl ~task:t0 ~addr:0 ~value:1 (fun () -> incr done_);
+  Cluster.write_word cl ~task:t1 ~addr:0 ~value:2 (fun () -> incr done_);
+  Cluster.run cl;
+  Alcotest.(check int) "all three accesses complete" 3 !done_;
+  let a = match Cluster.backend cl with `Asvm a -> a | `Xmm _ -> assert false in
+  Alcotest.(check (list string)) "invariants clean" []
+    (Asvm_core.Asvm.check_invariants a);
+  let rd t =
+    let r = ref (-1) in
+    Cluster.read_word cl ~task:t ~addr:0 (fun v -> r := v);
+    Cluster.run cl;
+    !r
+  in
+  let v0 = rd t0 in
+  Alcotest.(check bool) "node 0 reads page 0 again" true (v0 = 1 || v0 = 2);
+  Alcotest.(check int) "both nodes agree" v0 (rd t1)
 
 let test_em3d_deterministic () =
   let run () =
@@ -445,6 +482,8 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "tiny buffer pool" `Quick test_tiny_buffer_pool;
+          Alcotest.test_case "upgrade waits for a buffer" `Quick
+            test_upgrade_waits_for_buffer;
           Alcotest.test_case "em3d deterministic" `Quick test_em3d_deterministic;
         ] );
     ]

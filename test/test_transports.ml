@@ -112,6 +112,71 @@ let test_sts_flow_control () =
   Engine.run e;
   Alcotest.(check int) "page message counted" 1 (Sts.page_messages sts)
 
+let test_sts_buffer_waiters () =
+  let e, net = make () in
+  let config = { Sts.default_config with page_buffers = 2 } in
+  let sts = Sts.create net config in
+  let ran = ref [] in
+  let acquire ~node id = Sts.acquire_buffer sts ~node (fun () -> ran := id :: !ran) in
+  let ran_so_far () = List.rev !ran in
+  (* two credits: two acquisitions run at once, the next two queue *)
+  List.iter (acquire ~node:1) [ 1; 2; 3; 4 ];
+  Alcotest.(check (list int)) "two run at once" [ 1; 2 ] (ran_so_far ());
+  Alcotest.(check int) "pool full" 2 (Sts.buffers_reserved sts ~node:1);
+  Alcotest.(check bool) "no try while waiters queue" false
+    (Sts.reserve_buffer sts ~node:1);
+  (* each release hands its credit to the oldest waiter on the next
+     engine step, never inside [release_buffer] *)
+  Sts.release_buffer sts ~node:1;
+  Alcotest.(check (list int)) "not inside release" [ 1; 2 ] (ran_so_far ());
+  Alcotest.(check int) "credit handed, not freed" 2
+    (Sts.buffers_reserved sts ~node:1);
+  Alcotest.(check bool) "handoff is one event" true (Engine.step e);
+  Alcotest.(check (list int)) "oldest waiter first" [ 1; 2; 3 ] (ran_so_far ());
+  Sts.release_buffer sts ~node:1;
+  Alcotest.(check int) "still handed" 2 (Sts.buffers_reserved sts ~node:1);
+  Engine.run e;
+  Alcotest.(check (list int)) "then the next" [ 1; 2; 3; 4 ] (ran_so_far ());
+  Sts.release_buffer sts ~node:1;
+  Alcotest.(check int) "last two releases free" 1
+    (Sts.buffers_reserved sts ~node:1);
+  Sts.release_buffer sts ~node:1;
+  Alcotest.(check int) "pool empty" 0 (Sts.buffers_reserved sts ~node:1);
+  Alcotest.(check int) "no handoff left" 0 (Engine.pending e);
+  (* a down node acquires nothing *)
+  Network.set_down net 3;
+  acquire ~node:3 5;
+  Engine.run e;
+  Alcotest.(check (list int)) "down node runs nothing" [ 1; 2; 3; 4 ]
+    (ran_so_far ());
+  Alcotest.(check int) "down node reserves nothing" 0
+    (Sts.buffers_reserved sts ~node:3);
+  (* a crash drops queued waiters with the credits *)
+  ran := [];
+  List.iter (acquire ~node:2) [ 6; 7; 8 ];
+  Network.set_down net 2;
+  Sts.crash_node sts ~node:2;
+  Engine.run e;
+  Alcotest.(check int) "crash zeroes the pool" 0
+    (Sts.buffers_reserved sts ~node:2);
+  Alcotest.(check (list int)) "queued waiter dropped" [ 6; 7 ] (ran_so_far ());
+  (* after the rejoin, credits go to the new waiters only *)
+  Network.set_up net 2;
+  List.iter (acquire ~node:2) [ 9; 10; 11 ];
+  Sts.release_buffer sts ~node:2;
+  Engine.run e;
+  Alcotest.(check (list int)) "no stale waiter after rejoin"
+    [ 6; 7; 9; 10; 11 ] (ran_so_far ());
+  (* a crash also voids a credit already handed to a waiter *)
+  acquire ~node:2 12;
+  Sts.release_buffer sts ~node:2;
+  Network.set_down net 2;
+  Sts.crash_node sts ~node:2;
+  Engine.run e;
+  Alcotest.(check int) "handoff voided" 0 (Sts.buffers_reserved sts ~node:2);
+  Alcotest.(check (list int)) "handed waiter dropped" [ 6; 7; 9; 10; 11 ]
+    (ran_so_far ())
+
 let test_sts_reliable_retransmit () =
   (* the logical-level interposer eats the first transmission; the
      reliability layer must notice the missing ack and retransmit *)
@@ -213,6 +278,7 @@ let () =
           Alcotest.test_case "delivery + economy" `Quick test_sts_delivery_and_economy;
           Alcotest.test_case "requires handler" `Quick test_sts_requires_handler;
           Alcotest.test_case "flow control" `Quick test_sts_flow_control;
+          Alcotest.test_case "buffer waiters" `Quick test_sts_buffer_waiters;
           Alcotest.test_case "ordering" `Quick test_sts_message_ordering_per_pair;
           Alcotest.test_case "reliable retransmit" `Quick
             test_sts_reliable_retransmit;
