@@ -48,13 +48,13 @@ head -c 96 BENCH_chaos.json | grep -q '"schema":"asvm.chaos/v1"'
 head -c 96 BENCH_chaos.json | grep -q '"total_violations":0'
 grep -q '"lost_writes":0' BENCH_chaos.json
 
-echo "== serve smoke (--quick, 2 jobs)"
+echo "== serve grid (full, 2 jobs)"
 # the serve bench exits nonzero when any cell fails to drain, reports
 # out-of-order percentiles, an inexact shard merge, or an invariant
-# violation in the chaos-composed cell, and parses the file back
-# before exiting; re-check the schema tag, the percentile ordering
-# verdict and the tail-percentile field on the file itself
-dune exec bench/main.exe -- --quick serve --jobs 2
+# violation in the full-length chaos-composed cell, and parses the
+# file back before exiting; re-check the schema tag, the percentile
+# ordering verdict and the tail-percentile field on the file itself
+dune exec bench/main.exe -- serve --jobs 2
 test -s BENCH_serve.json
 head -c 64 BENCH_serve.json | grep -q '"schema":"asvm.serve/v1"'
 grep -q '"percentiles_ordered":true' BENCH_serve.json
@@ -62,6 +62,15 @@ grep -q '"p999_ms"' BENCH_serve.json
 if grep -q '"percentiles_ordered":false' BENCH_serve.json; then
   echo "serve: a cell reports unordered percentiles" >&2
   exit 1
+fi
+# every cell is a pure function of the experiment seed, so in a git
+# checkout the regenerated file must equal the checked-in one
+if git rev-parse --git-dir >/dev/null 2>&1; then
+  if ! git diff --quiet -- BENCH_serve.json; then
+    echo "serve: BENCH_serve.json differs from the checked-in file" >&2
+    git --no-pager diff --stat -- BENCH_serve.json >&2
+    exit 1
+  fi
 fi
 
 echo "== serve strand check (64 nodes, 16,000 req/s, seeds 32 44 88 111)"

@@ -34,8 +34,12 @@ let default_config =
 
 (* Static-manager hints (paper figure 6): besides a node reference, the
    cache can record that a page was never initialized (fresh) or has
-   been paged out (paged). *)
-type shint = S_at of int | S_fresh | S_paged
+   been paged out (paged).  A node reference also names the fault
+   generation at [owner] that the hint designates as the page's next
+   owner ([-1] once that node owns the page, or when no particular
+   fault is meant): a request the manager forwards on it may park only
+   behind that exact fault (see [route_request]). *)
+type shint = S_at of { owner : int; gen : int } | S_fresh | S_paged
 
 type rkind = K_fault | K_pull | K_push_scan
 
@@ -49,6 +53,14 @@ type request = {
   r_scan_home : Ids.obj_id;  (** for push scans: source object waiting *)
   mutable r_hops : int;
   mutable r_ring : int;  (** -1 = not sweeping; else the sweep's start node *)
+  mutable r_directed : int;
+      (** the fault generation at the receiving node that a designating
+          authority (static-manager table, pager grant table, or an
+          owner handing on its queue) named as the page's next owner;
+          the receiver parks the request only behind that fault.  [-1]
+          = not directed, set by every other forwarding hop;
+          [by_table] = handed to the static manager by a faulting
+          node. *)
   r_kind : rkind;
   r_origin_inc : int;
       (** the origin's crash incarnation when the request was issued: a
@@ -83,6 +95,11 @@ type msg =
               this is what keeps a remote ownership transfer at the
               paper's three messages *)
       gen : int;  (** echo of the request's [r_gen] *)
+      stamp : int;
+          (** a read grant's place in its owner's [i_stamp] order (0 on
+              other replies), so the reader can tell whether an
+              invalidation or reader query from the same owner that
+              overtook it on the wire revoked this very copy *)
     }
   | A_grant of {
       obj : Ids.obj_id;
@@ -91,7 +108,13 @@ type msg =
       from : int;
       gen : int;
     }
-  | A_invalidate of { obj : Ids.obj_id; page : int; new_owner : int; from : int }
+  | A_invalidate of {
+      obj : Ids.obj_id;
+      page : int;
+      new_owner : int;
+      from : int;
+      stamp : int;  (** the sender's [i_stamp] when it revoked *)
+    }
   | A_inval_ack of { obj : Ids.obj_id; page : int }
   | A_owner_update of { obj : Ids.obj_id; page : int; hint : shint }
   | A_reader_query of {
@@ -101,6 +124,7 @@ type msg =
       dirty : bool;
       rest : int list;
       version : int;
+      stamp : int;  (** the sender's [i_stamp] when it asked *)
     }
   | A_reader_answer of { obj : Ids.obj_id; page : int; from : int; accepted : bool }
   | A_transfer_offer of { obj : Ids.obj_id; page : int; from : int }
@@ -231,9 +255,10 @@ type inst = {
      node crashes inside that window, recovery synthesizes each owed
      answer at its destination so the waiting peer is not stranded. *)
   mutable i_owed_acks : (int * msg) list;
-  (* pager-node role: page -> node the pager last granted the page to;
-     serializes simultaneous cold faults on one page (single-owner) *)
-  i_granted : (int, int) Hashtbl.t;
+  (* pager-node role: page -> (node, fault generation) the pager last
+     granted the page to; serializes simultaneous cold faults on one
+     page (single-owner) *)
+  i_granted : (int, int * int) Hashtbl.t;
   (* pager-node role: page -> evicting node whose dirty contents are
      still in flight (between [A_pager_grant] and [A_to_pager]).  A
      lookup for such a page must wait for the contents: supplying from
@@ -241,6 +266,15 @@ type inst = {
      image — and the pageout's arrival would then wipe the grant-table
      entry, letting a later lookup mint a second owner. *)
   i_pageouts : (int, int) Hashtbl.t;
+  (* owner role: bumped at every read grant, invalidation round and
+     reader query, so a reader can order them (the [stamp] fields) *)
+  mutable i_stamp : int;
+  (* reader role: page -> (owner, stamp) of the latest invalidation or
+     declined reader query that reached this node while its own fault
+     for the page was in flight.  A read grant the same owner sent
+     before it (lower stamp) and that arrives after it was revoked on
+     the wire: installing it would leave a copy no reader list covers. *)
+  i_revoked : (int, int * int) Hashtbl.t;
   mutable i_copy_acks : int;
   mutable i_copy_k : unit -> unit;
 }
@@ -414,7 +448,7 @@ let count_rows =
     ("forward.fresh_hint", fwd "fresh_hint");
     ("forward.paged_hint", fwd "paged_hint");
     ("forward.global_sweeps", fwd "global_sweep");
-    ("forward.park_timeouts", ("asvm.park_timeouts", []));
+    ("forward.escalations", fwd "escalation");
     ("ownership_transfers", ("asvm.ownership_transfers", []));
     ("invalidations", ("asvm.invalidations", []));
     ("zero_grants", ("asvm.zero_grants", []));
@@ -434,6 +468,7 @@ let count_rows =
     ("crash.stale_replies", crash "stale_reply");
     ("crash.lost_grants", crash "lost_grant");
     ("crash.lost_pages", crash "lost_page");
+    ("revoked_reads", ("asvm.revoked_reads", []));
   |]
 
 let c_loop_break = 0
@@ -443,7 +478,7 @@ let c_static_hit = 3
 let c_fresh_hint = 4
 let c_paged_hint = 5
 let c_global_sweep = 6
-let c_park_timeout = 7
+let c_escalation = 7
 let c_ownership_transfer = 8
 let c_invalidation = 9
 let c_zero_grant = 10
@@ -463,6 +498,7 @@ let c_stale_request = 23
 let c_stale_reply = 24
 let c_lost_grant = 25
 let c_lost_page = 26
+let c_revoked_read = 27
 
 let make_handles metrics =
   {
@@ -555,9 +591,10 @@ let trace_ownership t ~obj ~page ~owner =
   | Some tr ->
     Trace.emit tr ~time:(now t) ~node:owner (Trace.Ownership { obj; page; owner })
 
-(* A routing decision about one request (parked, unparked by timeout,
-   dropped as stale) as a trace note.  Parking is common under load, so
-   an untraced run skips even consuming the format's arguments. *)
+(* A routing decision about one request (parked, escalated at the
+   pager, re-asked after a revoked read, dropped as stale) as a trace
+   note.  Parking is common under load, so an untraced run skips even
+   consuming the format's arguments. *)
 let note_request t ~node ~category req =
   if Option.is_some t.trace then
     Trace.note t.trace ~time:(now t) ~node ~category
@@ -632,13 +669,6 @@ let update_static t i ~page ~hint =
 (* Request forwarding (the redirector, paper 3.3/3.4)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* How long a foreign request may stay parked behind this node's own
-   in-flight fault before it is converted to a global sweep (see
-   [route_request]).  Generous against ordinary fault latency so the
-   conversion only fires on genuine parking cycles, where the extra
-   sweep traffic is the price of liveness. *)
-let park_timeout_ms = 50.
-
 (* Crash staleness: a request whose origin crashed answers a fault that
    died with the node — drop it wherever it is next routed.  A
    crash-recovery re-drive bumps the origin's fault generation, which
@@ -661,6 +691,66 @@ let drop_stale t node req =
   count t c_stale_request;
   note_request t ~node ~category:"asvm.stale_drop" req
 
+(* A fresh fault request from [node] for a page of [obj]. *)
+let fault_request t ~node ~obj ~page ~want ~upgrade ~gen =
+  {
+    r_origin = node;
+    r_origin_obj = obj;
+    r_obj = obj;
+    r_page = page;
+    r_want = want;
+    r_upgrade = upgrade;
+    r_scan_home = obj;
+    r_hops = 0;
+    r_ring = -1;
+    r_directed = -1;
+    r_kind = K_fault;
+    r_origin_inc = Network.incarnation t.net node;
+    r_gen = gen;
+  }
+
+(* The generation of this node's own in-flight fault for the request's
+   page when the request is a foreign fault that could wait for it; -1
+   otherwise.  Sweeping requests ([r_ring >= 0]) never wait: after the
+   static manager's table died in a crash every stuck faulter sweeps,
+   and the sweep runs to the pager, whose grant table serializes the
+   claims. *)
+let parkable_gen i node req =
+  if req.r_kind <> K_fault || req.r_origin = node || req.r_ring >= 0 then -1
+  else
+    match Hashtbl.find_opt i.i_outstanding req.r_page with
+    | Some (_, gen) -> gen
+    | None -> -1
+
+(* Hold a foreign request behind this node's own in-flight fault until
+   ownership lands ([drain_inbound] re-routes it).  Only a designated
+   request parks (see [route_request]), which keeps the parking relation
+   acyclic without a timer (DESIGN.md, section 7). *)
+let park_request t node i req =
+  let q =
+    match Hashtbl.find_opt i.i_waiting_inbound req.r_page with
+    | Some q -> q
+    | None ->
+      let q = Queue.create () in
+      Hashtbl.add i.i_waiting_inbound req.r_page q;
+      q
+  in
+  note_request t ~node ~category:"asvm.park" req;
+  Queue.push req q
+
+(* [r_directed] of a request a faulting non-owner hands to the page's
+   static manager: the manager routes it by its table, not by its own
+   dynamic hint, which can lead straight back (a stale hint cycle
+   through the faulting node). *)
+let by_table = -2
+
+(* A foreign fault reaching a node that neither owns the page nor is
+   told by an authority that its in-flight fault is the next owner:
+   parking it here could close a cycle (this node's own request may be
+   parked at the foreign origin), so it parks only when [r_directed]
+   names exactly that fault.  Anything else goes to the page's static
+   manager, whose table orders concurrent faulters ([by_table]); when
+   this node is that manager, [consult_static] decides at once. *)
 let rec route_request t node req =
   if request_stale t req then drop_stale t node req
   else
@@ -668,66 +758,19 @@ let rec route_request t node req =
   match Hashtbl.find_opt i.i_pages req.r_page with
   | Some ps -> owner_handle t node i ps req
   | None ->
-    if
-      req.r_kind = K_fault
-      && req.r_origin <> node
-      && req.r_ring < 0
-      && Hashtbl.mem i.i_outstanding req.r_page
-    then begin
-      (* this node's own fault for the page is in flight and will make
-         it the owner: park the foreign request until then.  A sweeping
-         request ([r_ring >= 0]) must NOT park: after the static
-         manager's hint table died in a crash, every stuck faulter
-         sweeps, and sweeps parking at each other's in-flight faults
-         form a cycle nobody can drain.  The sweep instead runs to the
-         pager, whose grant table serializes the claims. *)
-      let q =
-        match Hashtbl.find_opt i.i_waiting_inbound req.r_page with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.add i.i_waiting_inbound req.r_page q;
-          q
-      in
-      note_request t ~node ~category:"asvm.park" req;
-      Queue.push req q;
-      (* Parking assumes this node's fault will land and [drain_inbound]
-         will re-route the queue.  Under memory pressure that assumption
-         can fail transitively: the parker's own request may itself be
-         parked at another faulting node (hints legitimately point at
-         ex-owners that evicted the page and are faulting it back), and
-         two such nodes holding each other's requests deadlock.  Bound
-         the wait: a request still parked after [park_timeout_ms] is
-         converted to a global sweep — sweeps never park, and the
-         pager's grant table serializes the survivors, so at least one
-         member of any cycle completes and drains the rest. *)
-      Engine.schedule
-        (Vm.engine t.vms.(node))
-        ~delay:park_timeout_ms
-        (fun () -> unpark_if_stuck t node i req)
-    end
-    else forward_request t node i req
+    let gen = parkable_gen i node req in
+    if gen >= 0 && gen = req.r_directed then park_request t node i req
+    else
+      forward_request
+        ~dynamic:(gen < 0 && req.r_directed <> by_table)
+        t node i req
 
-and unpark_if_stuck t node i req =
-  match Hashtbl.find_opt i.i_waiting_inbound req.r_page with
-  | None -> ()
-  | Some q ->
-    let keep = Queue.create () in
-    let found = ref false in
-    Queue.iter (fun r -> if r == req then found := true else Queue.push r keep) q;
-    if !found then begin
-      Queue.clear q;
-      Queue.transfer keep q;
-      if Queue.is_empty q then Hashtbl.remove i.i_waiting_inbound req.r_page;
-      if request_stale t req then drop_stale t node req
-      else begin
-        count t c_park_timeout;
-        note_request t ~node ~category:"asvm.park_timeout" req;
-        start_sweep t node i req
-      end
-    end
-
-and forward_request t node i req =
+(* Every forwarding hop clears [r_directed]; only [consult_static]'s
+   static hit, [pager_lookup]'s chase and [finish_owner_op] set it.
+   [~dynamic:false] skips this node's dynamic hint and sends the
+   request to the static manager marked [by_table]. *)
+and forward_request ?(dynamic = true) t node i req =
+  req.r_directed <- -1;
   req.r_hops <- req.r_hops + 1;
   if req.r_ring >= 0 then sweep_step t node i req
   else if req.r_hops > (2 * Array.length i.i_sharers) + 8 then begin
@@ -737,7 +780,9 @@ and forward_request t node i req =
   end
   else begin
     let hint =
-      if i.i_fwd.dynamic then Hint_cache.find i.i_dyn ~page:req.r_page else None
+      if dynamic && i.i_fwd.dynamic then
+        Hint_cache.find i.i_dyn ~page:req.r_page
+      else None
     in
     match hint with
     | Some target when target <> node && not (Network.is_down t.net target) ->
@@ -748,8 +793,8 @@ and forward_request t node i req =
          not-yet-owners can form cycles in which each requester parks
          the other's request. Hints are updated only by authoritative
          events — the granting owner, invalidations, replies and the
-         serialized static-manager claims — which keeps the
-         request-parking relation acyclic (see test_cluster soak). *)
+         serialized static-manager claims — and a request that follows
+         a hint is never designated, so it does not park. *)
       send t ~src:node ~dst:target (A_request req)
     | Some _ | None ->
       if i.i_fwd.static then begin
@@ -760,6 +805,7 @@ and forward_request t node i req =
           start_sweep t node i req
         else if sm <> node then begin
           count t c_to_static;
+          if not dynamic then req.r_directed <- by_table;
           send t ~src:node ~dst:sm (A_request req)
         end
         else consult_static t node i req
@@ -774,15 +820,21 @@ and consult_static t node i req =
      each being granted an owner by the pager. *)
   let claim_for_origin () =
     if req.r_kind <> K_push_scan then begin
-      Hint_cache.put i.i_static ~page:req.r_page (S_at req.r_origin);
+      Hint_cache.put i.i_static ~page:req.r_page
+        (S_at { owner = req.r_origin; gen = req.r_gen });
       Bytes.set i.i_seen req.r_page '\001'
     end
   in
   match Hint_cache.find i.i_static ~page:req.r_page with
-  | Some (S_at target) when target <> node && not (Network.is_down t.net target)
-    ->
+  | Some (S_at { owner = target; gen })
+    when target <> node && not (Network.is_down t.net target) ->
     count t c_static_hit;
+    req.r_directed <- gen;
     send t ~src:node ~dst:target (A_request req)
+  | Some (S_at { owner; gen })
+    when owner = node && gen >= 0 && gen = parkable_gen i node req ->
+    (* the table designates this manager's own in-flight fault *)
+    park_request t node i req
   | Some S_fresh ->
     count t c_fresh_hint;
     claim_for_origin ();
@@ -838,19 +890,33 @@ and pager_lookup t node i req =
     Engine.schedule (Network.engine t.net) ~delay:0.5 (fun () ->
         if not (request_stale t req) then pager_lookup t node i req)
   else
-  let escalated = req.r_hops > 4 * (Array.length i.i_sharers + 2) in
-  match Hashtbl.find_opt i.i_granted req.r_page with
-  | Some holder
-    when req.r_kind <> K_push_scan && holder <> req.r_origin && not escalated
-         && not (Network.is_down t.net holder)
-    ->
+  let chase =
+    match Hashtbl.find_opt i.i_granted req.r_page with
+    | Some (holder, _) as granted
+      when req.r_kind <> K_push_scan && holder <> req.r_origin
+           && not (Network.is_down t.net holder) ->
+      if req.r_hops > 4 * (Array.length i.i_sharers + 2) then begin
+        (* liveness escape: a request that has wandered this long is
+           supplied even though the grant table names a live holder,
+           which can mint a second owner *)
+        count t c_escalation;
+        note_request t ~node ~category:"asvm.escalation" req;
+        None
+      end
+      else granted
+    | Some _ | None -> None
+  in
+  match chase with
+  | Some (holder, gen) ->
     (* the pager already handed this page to someone: chase the holder
-       instead of creating a second owner.  Leave sweep mode — the
-       chased request must be allowed to park behind the holder's
-       in-flight fault rather than sweep past it forever. *)
+       instead of creating a second owner.  Leave sweep mode and
+       designate the fault the pager supplied — the chased request must
+       be allowed to park behind exactly that in-flight fault rather
+       than sweep past it forever. *)
     req.r_ring <- -1;
+    req.r_directed <- gen;
     send t ~src:node ~dst:holder (A_request req)
-  | _ ->
+  | None ->
   if Store_pager.has (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page
   then begin
     match req.r_kind with
@@ -861,10 +927,11 @@ and pager_lookup t node i req =
            { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = true })
     | K_fault | K_pull ->
       count t c_pager_supply;
-      Hashtbl.replace i.i_granted req.r_page req.r_origin;
+      Hashtbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
       Store_pager.request (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page ~words:t.wpp
         (fun contents ->
-          update_static t i ~page:req.r_page ~hint:(S_at req.r_origin);
+          update_static t i ~page:req.r_page
+            ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
           send t ~src:node ~dst:req.r_origin ~carries_page:true
             (A_reply
                {
@@ -879,6 +946,7 @@ and pager_lookup t node i req =
                  from = node;
                  updated = true;
                  gen = req.r_gen;
+                 stamp = 0;
                }))
   end
   else
@@ -907,8 +975,9 @@ and conclude_fresh t node i req =
   | K_fault | K_pull ->
     count t c_zero_grant;
     if node = Store_pager.node (pager_of i req.r_page) then
-      Hashtbl.replace i.i_granted req.r_page req.r_origin;
-    update_static t i ~page:req.r_page ~hint:(S_at req.r_origin);
+      Hashtbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
+    update_static t i ~page:req.r_page
+      ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
     send t ~src:node ~dst:req.r_origin
       (A_reply
          {
@@ -923,6 +992,7 @@ and conclude_fresh t node i req =
            from = node;
            updated = true;
            gen = req.r_gen;
+           stamp = 0;
          })
 
 (* ------------------------------------------------------------------ *)
@@ -970,6 +1040,7 @@ and reply_pull t node _i ps req =
            from = node;
            updated = false;
            gen = req.r_gen;
+           stamp = 0;
          })
   | None ->
     (* owner invariant violated only transiently; treat as not found *)
@@ -990,6 +1061,7 @@ and owner_read_grant t node i ps req =
         forward_request t node i req
       | Some contents ->
         add_reader ps req.r_origin;
+        i.i_stamp <- i.i_stamp + 1;
         send t ~src:node ~dst:req.r_origin ~carries_page:true
           (A_reply
              {
@@ -1004,6 +1076,7 @@ and owner_read_grant t node i ps req =
                from = node;
                updated = false;
                gen = req.r_gen;
+               stamp = i.i_stamp;
              });
         finish_owner_op t node i ps req.r_page ~moved_to:(Some node))
 
@@ -1074,6 +1147,7 @@ and owner_write_grant t node i ps req =
                          from = node;
                          updated = true;
                          gen = req.r_gen;
+                         stamp = 0;
                        })
                 end;
                 (* the old owner flushes its own copy: single writer *)
@@ -1087,7 +1161,8 @@ and owner_write_grant t node i ps req =
                     }
                   ~reply:(fun _ -> ());
                 Hint_cache.put i.i_dyn ~page req.r_origin;
-                update_static t i ~page ~hint:(S_at req.r_origin);
+                update_static t i ~page
+                  ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
                 finish_owner_op t node i ps page ~moved_to:(Some req.r_origin))))
 
 (* Transitions 6/7 prologue: flush every node in the reader list. *)
@@ -1100,16 +1175,31 @@ and invalidate_readers t node i ps ~page ~except k =
     count t c_invalidation ~by:(List.length targets);
     ps.p_acks <- List.length targets;
     ps.p_ack_k <- k;
+    i.i_stamp <- i.i_stamp + 1;
     List.iter
       (fun r ->
         send t ~src:node ~dst:r
-          (A_invalidate { obj = i.i_obj; page; new_owner = except; from = node }))
+          (A_invalidate
+             {
+               obj = i.i_obj;
+               page;
+               new_owner = except;
+               from = node;
+               stamp = i.i_stamp;
+             }))
       targets
 
 (* Close an owner-side operation: drain queued work to wherever the
-   ownership now lives. *)
+   ownership now lives.  Requests handed on to a new owner are
+   designated to the fault this operation served (the reply is already
+   on its way), so they may park there until it lands. *)
 and finish_owner_op t node i ps page ~moved_to =
   let vm = t.vms.(node) in
+  let served =
+    match (ps.p_active, moved_to) with
+    | Some req, Some target when req.r_origin = target -> req.r_gen
+    | _ -> -1
+  in
   ps.p_active <- None;
   let still_here = moved_to = Some node in
   if still_here then begin
@@ -1123,7 +1213,9 @@ and finish_owner_op t node i ps page ~moved_to =
     Hashtbl.remove i.i_pages page;
     let forward req =
       match moved_to with
-      | Some target -> send t ~src:node ~dst:target (A_request req)
+      | Some target ->
+        req.r_directed <- served;
+        send t ~src:node ~dst:target (A_request req)
       | None -> route_request t node req
     in
     Queue.iter forward ps.p_queue;
@@ -1202,6 +1294,7 @@ and run_push_if_needed t node i ps page k =
             r_scan_home = i.i_obj;
             r_hops = 0;
             r_ring = -1;
+            r_directed = -1;
             r_kind = K_push_scan;
             r_origin_inc = Network.incarnation t.net node;
             r_gen = -1;
@@ -1273,9 +1366,18 @@ and query_readers t node i ps ~page ~contents ~dirty readers =
           finish_owner_op t node i ps page ~moved_to:(Some r)
         end
         else query_readers t node i ps ~page ~contents ~dirty rest);
+    i.i_stamp <- i.i_stamp + 1;
     send t ~src:node ~dst:r
       (A_reader_query
-         { obj = i.i_obj; page; from = node; dirty; rest; version = ps.p_version })
+         {
+           obj = i.i_obj;
+           page;
+           from = node;
+           dirty;
+           rest;
+           version = ps.p_version;
+           stamp = i.i_stamp;
+         })
   | [] -> offer_transfer t node i ps ~page ~contents ~dirty
 
 (* Step 3: transfer the page to a node with free memory, chosen by the
@@ -1368,7 +1470,8 @@ let install_owner t node i ~page ~readers ~version ~dirty ~static_updated =
   if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
   Hint_cache.remove i.i_dyn ~page;
   trace_ownership t ~obj:i.i_obj ~page ~owner:node;
-  if not static_updated then update_static t i ~page ~hint:(S_at node)
+  if not static_updated then
+    update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
 
 (* Requests that parked here while our own fault was in flight are
    re-routed once ownership (and the frame) have landed. *)
@@ -1402,7 +1505,7 @@ let observe_fault_latency t i ~page ~ownership =
 
 let handle_reply t node
     (origin_obj, page, contents, grant, owner, readers, version, dirty, from,
-     updated, gen) =
+     updated, gen, stamp) =
   let i = inst t node origin_obj in
   let stale =
     (* a generation-checked reply answering a superseded request: the
@@ -1414,11 +1517,33 @@ let handle_reply t node
     | Some (_, g) -> g <> gen
     | None -> true
   in
+  let revoked =
+    (not owner)
+    &&
+    match Hashtbl.find_opt i.i_revoked page with
+    | Some (revoker, s) -> revoker = from && stamp < s
+    | None -> false
+  in
   if stale then count t c_stale_reply
+  else if revoked then begin
+    (* a read grant overtaken on the wire by its owner's invalidation
+       (or reader query): the owner no longer lists this node, so the
+       copy is dropped and the fault asks again, keeping its generation
+       and its receive-buffer reservation *)
+    Hashtbl.remove i.i_revoked page;
+    count t c_revoked_read;
+    let req =
+      fault_request t ~node ~obj:origin_obj ~page ~want:grant ~upgrade:false
+        ~gen
+    in
+    note_request t ~node ~category:"asvm.revoked_read" req;
+    route_request t node req
+  end
   else begin
   Sts.release_buffer t.sts ~node;
   observe_fault_latency t i ~page ~ownership:owner;
   Hashtbl.remove i.i_outstanding page;
+  Hashtbl.remove i.i_revoked page;
   let vm = t.vms.(node) in
   let c = match contents with Some c -> c | None -> zero t in
   (* A write grant that did not come from a previous owner (pager
@@ -1442,23 +1567,8 @@ let handle_reply t node
   end
 
 let reissue t node ~origin_obj ~page ~want ~upgrade =
-  let req =
-    {
-      r_origin = node;
-      r_origin_obj = origin_obj;
-      r_obj = origin_obj;
-      r_page = page;
-      r_want = want;
-      r_upgrade = upgrade;
-      r_scan_home = origin_obj;
-      r_hops = 0;
-      r_ring = -1;
-      r_kind = K_fault;
-      r_origin_inc = Network.incarnation t.net node;
-      r_gen = -1;
-    }
-  in
-  route_request t node req
+  route_request t node
+    (fault_request t ~node ~obj:origin_obj ~page ~want ~upgrade ~gen:(-1))
 
 let rec handle t node msg =
   match msg with
@@ -1469,11 +1579,11 @@ let rec handle t node msg =
     pager_lookup t node i req
   | A_reply
       { origin_obj; page; contents; grant; owner; readers; version; dirty; from;
-        updated; gen }
+        updated; gen; stamp }
     ->
     handle_reply t node
       ( origin_obj, page, contents, grant, owner, readers, version, dirty, from,
-        updated, gen )
+        updated, gen, stamp )
   | A_grant { obj; page; version; from; gen } ->
     let i = inst t node obj in
     let stale =
@@ -1488,6 +1598,7 @@ let rec handle t node msg =
       Sts.release_buffer t.sts ~node;
       observe_fault_latency t i ~page ~ownership:true;
       Hashtbl.remove i.i_outstanding page;
+      Hashtbl.remove i.i_revoked page;
       if Vm.is_resident t.vms.(node) ~obj ~page then begin
         Vm.lock_request t.vms.(node) ~obj ~page
           ~op:{ Emmi.max_access = Prot.Read_write; clean = false; mode = Emmi.Lock_plain }
@@ -1504,11 +1615,13 @@ let rec handle t node msg =
             reissue t node ~origin_obj:obj ~page ~want:Prot.Read_write
               ~upgrade:false)
     end
-  | A_invalidate { obj; page; new_owner; from } ->
+  | A_invalidate { obj; page; new_owner; from; stamp } ->
     (* transition 8.  The ack waits on an async kernel call: record it
        as owed so a crash inside the window still acknowledges (the
        crashed node holds no copy either way). *)
     let i = inst t node obj in
+    if Hashtbl.mem i.i_outstanding page then
+      Hashtbl.replace i.i_revoked page (from, stamp);
     let owed = (from, A_inval_ack { obj; page }) in
     i.i_owed_acks <- owed :: i.i_owed_acks;
     let inc = Network.incarnation t.net node in
@@ -1538,7 +1651,7 @@ let rec handle t node msg =
     let i = inst t node obj in
     Hint_cache.put i.i_static ~page hint;
     Bytes.set i.i_seen page '\001'
-  | A_reader_query { obj; page; from; dirty; rest; version } ->
+  | A_reader_query { obj; page; from; dirty; rest; version; stamp } ->
     let i = inst t node obj in
     let vm = t.vms.(node) in
     (* Decline the handoff while this node's own fault for the page is
@@ -1562,10 +1675,12 @@ let rec handle t node msg =
       ps.p_readers <- List.filter (fun r -> r <> node) rest;
       Hashtbl.replace i.i_pages page ps;
       Hint_cache.remove i.i_dyn ~page;
-      update_static t i ~page ~hint:(S_at node);
+      update_static t i ~page ~hint:(S_at { owner = node; gen = -1 });
       send t ~src:node ~dst:from (A_reader_answer { obj; page; from = node; accepted = true })
     end
     else begin
+      if Hashtbl.mem i.i_outstanding page then
+        Hashtbl.replace i.i_revoked page (from, stamp);
       if Vm.is_resident vm ~obj ~page then
         Vm.lock_request vm ~obj ~page
           ~op:
@@ -1616,7 +1731,7 @@ let rec handle t node msg =
       let ps = new_pstate ~version in
       Hashtbl.replace i.i_pages page ps;
       Hint_cache.remove i.i_dyn ~page;
-      update_static t i ~page ~hint:(S_at node)
+      update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
     end
     else begin
       (* memory vanished since the offer: fall through to the pager *)
@@ -1754,7 +1869,7 @@ let rec handle t node msg =
     then begin
       let ps = new_pstate ~version:0 in
       Hashtbl.replace i.i_pages page ps;
-      update_static t i ~page ~hint:(S_at node)
+      update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
     end
     else
       (* no memory at the peer: the frozen page goes to the copy's pager *)
@@ -1801,6 +1916,7 @@ and handle_pull t node req =
                from = node;
                updated = false;
                gen = req.r_gen;
+               stamp = 0;
              })
       | Emmi.Pull_zero_fill ->
         send t ~src:node ~dst:req.r_origin
@@ -1817,6 +1933,7 @@ and handle_pull t node req =
                from = node;
                updated = false;
                gen = req.r_gen;
+               stamp = 0;
              })
       | Emmi.Pull_ask_shadow shadow_obj ->
         (* continue the search in the shadow object's SVM space *)
@@ -1851,11 +1968,20 @@ let set_static_hint t i ~page ~hint =
       Bytes.set mi.i_seen page '\001'
 
 (* Forget that the pager last granted [page] to a node whose copy died
-   with it, so the next cold fault is not chased into the crash site. *)
-let purge_granted t i ~page =
+   with it, so the next cold fault is not chased into the crash site.
+   With [holder], only an entry that still names that node: a message
+   dead-lettering at a crashed node can arrive long after the crash,
+   and an entry naming anyone else then records a grant made since —
+   the pager may well have supplied a survivor — which must stay, or
+   the next lookup mints a second owner. *)
+let purge_granted ?holder t i ~page =
   let pnode = Store_pager.node (pager_of i page) in
   match Hashtbl.find_opt t.insts (pnode, i.i_obj) with
-  | Some pi -> Hashtbl.remove pi.i_granted page
+  | Some pi -> (
+    match (Hashtbl.find_opt pi.i_granted page, holder) with
+    | Some (h, _), Some dead when h <> dead -> ()
+    | Some _, _ -> Hashtbl.remove pi.i_granted page
+    | None, _ -> ())
   | None -> ()
 
 (* Restart a fault whose request or answer was lost to a crash.  The
@@ -1899,6 +2025,7 @@ let redrive_fault t req =
             r_obj = req.r_origin_obj;
             r_hops = 0;
             r_ring = -1;
+            r_directed = -1;
             r_kind = K_fault;
             r_gen = gen;
           })
@@ -1931,20 +2058,8 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
          reaches the re-elected owner, which registers the origin
          properly. *)
       redrive_fault t
-        {
-          r_origin = dst;
-          r_origin_obj = origin_obj;
-          r_obj = origin_obj;
-          r_page = page;
-          r_want = grant;
-          r_upgrade = false;
-          r_scan_home = origin_obj;
-          r_hops = 0;
-          r_ring = -1;
-          r_kind = K_fault;
-          r_origin_inc = Network.incarnation t.net dst;
-          r_gen = gen;
-        }
+        (fault_request t ~node:dst ~obj:origin_obj ~page ~want:grant
+           ~upgrade:false ~gen)
     | msg -> handle t dst msg
   end
   else
@@ -1983,7 +2098,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
                 (if Store_pager.has (pager_of i page) ~obj:origin_obj ~page
                  then S_paged
                  else S_fresh));
-          purge_granted t i ~page
+          purge_granted ~holder:dst t i ~page
         end)
     | A_grant { obj; page; _ } -> (
       (* upgrade grant to a crashed reader: its read copy died with it;
@@ -1997,7 +2112,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
           ~hint:
             (if Store_pager.has (pager_of i page) ~obj ~page then S_paged
              else S_fresh);
-        purge_granted t i ~page)
+        purge_granted ~holder:dst t i ~page)
     | A_invalidate { obj; page; from; _ } ->
       (* a crashed reader holds no copy: acknowledge on its behalf *)
       deliver_if_alive t from (A_inval_ack { obj; page })
@@ -2018,7 +2133,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
         count t c_rescued_page;
         Store_pager.remember (pager_of i page) ~obj ~page ~contents;
         set_static_hint t i ~page ~hint:S_paged;
-        purge_granted t i ~page)
+        purge_granted ~holder:dst t i ~page)
     | A_pager_offer { obj; page; from } ->
       (* the pager's node died; accept on its behalf — the contents
          then dead-letter into the store, which survives the crash *)
@@ -2125,6 +2240,8 @@ let make_inst t ~node ~obj ~size_pages ~sharers ~pagers ~fwd ~shadow =
     i_owed_acks = [];
     i_granted = Hashtbl.create 8;
     i_pageouts = Hashtbl.create 8;
+    i_stamp = 0;
+    i_revoked = Hashtbl.create 8;
     i_copy_acks = 0;
     i_copy_k = ignore;
   }
@@ -2154,23 +2271,8 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
         if Network.is_down t.net node then ()
         else
         let fire gen =
-          let req =
-            {
-              r_origin = node;
-              r_origin_obj = obj;
-              r_obj = obj;
-              r_page = page;
-              r_want = desired;
-              r_upgrade = upgrade;
-              r_scan_home = obj;
-              r_hops = 0;
-              r_ring = -1;
-              r_kind = K_fault;
-              r_origin_inc = Network.incarnation t.net node;
-              r_gen = gen;
-            }
-          in
-          route_request t node req
+          route_request t node
+            (fault_request t ~node ~obj ~page ~want:desired ~upgrade ~gen)
         in
         let i = inst t node obj in
         match Hashtbl.find_opt i.i_pages page with
@@ -2227,7 +2329,11 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
 (* Give a page the crashed node owned a new owner among its surviving
    readers; with no surviving in-memory copy, fall back to the pager
    image — or, when the pager never saw the page, back to fresh (the
-   documented data-loss case, counted in [crash.lost_pages]). *)
+   documented data-loss case, counted in [crash.lost_pages]).  This runs
+   at the crash instant, after [crash_node] dropped every grant naming
+   the victim: a grant-table entry left for the page names a holder
+   that passed ownership on towards the victim, so it is stale and goes
+   unconditionally. *)
 let reelect t ~victim i ~page ~ps =
   let obj = i.i_obj in
   let candidates =
@@ -2250,7 +2356,7 @@ let reelect t ~victim i ~page ~ps =
        an eviction writes it back instead of discarding it as clean *)
     Vm.set_frame_dirty t.vms.(owner) ~obj ~page;
     trace_ownership t ~obj ~page ~owner;
-    set_static_hint t oi ~page ~hint:(S_at owner);
+    set_static_hint t oi ~page ~hint:(S_at { owner; gen = -1 });
     purge_granted t i ~page
   | [] ->
     let hint =
@@ -2297,7 +2403,9 @@ let crash_node t ~node =
      lookup sweeps the ring instead of trusting the zeroed table — a
      wrongly-granted "fresh" zero page would fork the object's
      contents.  Version and copy configuration carry over (durable
-     object-registration idealization). *)
+     object-registration idealization), and so does the read-grant
+     stamp, which survivors compare against stamps from before the
+     crash. *)
   List.iter
     (fun (obj, i) ->
       let fresh =
@@ -2307,6 +2415,7 @@ let crash_node t ~node =
       in
       Bytes.fill fresh.i_seen 0 i.i_size '\001';
       fresh.i_version <- i.i_version;
+      fresh.i_stamp <- i.i_stamp;
       fresh.i_copies <- i.i_copies;
       Hashtbl.replace t.insts (node, obj) fresh)
     victims;
@@ -2322,7 +2431,8 @@ let crash_node t ~node =
           i.i_pages;
         let stale =
           Hashtbl.fold
-            (fun page holder acc -> if holder = node then page :: acc else acc)
+            (fun page (holder, _) acc ->
+              if holder = node then page :: acc else acc)
             i.i_granted []
         in
         List.iter (fun page -> Hashtbl.remove i.i_granted page) stale;
@@ -2421,7 +2531,7 @@ let claim_residents t ~node ~obj =
       (fun page ->
         if not (Hashtbl.mem i.i_pages page) then begin
           Hashtbl.replace i.i_pages page (new_pstate ~version:i.i_version);
-          update_static t i ~page ~hint:(S_at node)
+          update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
         end)
       (Asvm_machvm.Vm_object.resident_pages o)
 

@@ -27,16 +27,25 @@ end
 
 module Histogram = struct
   type t = {
-    mutable samples : float list;  (* reverse order of observation *)
+    mutable samples : Float.Array.t;
+        (* unboxed, in order of observation; [n] of them are live, the
+           rest is growth headroom *)
     mutable n : int;
     mutable sum : float;
     mutable sorted : float array option;  (* cache, invalidated on observe *)
   }
 
-  let create () = { samples = []; n = 0; sum = 0.; sorted = None }
+  let create () =
+    { samples = Float.Array.create 0; n = 0; sum = 0.; sorted = None }
 
   let observe t x =
-    t.samples <- x :: t.samples;
+    let cap = Float.Array.length t.samples in
+    if t.n = cap then begin
+      let grown = Float.Array.create (max 16 (2 * cap)) in
+      Float.Array.blit t.samples 0 grown 0 t.n;
+      t.samples <- grown
+    end;
+    Float.Array.set t.samples t.n x;
     t.n <- t.n + 1;
     t.sum <- t.sum +. x;
     t.sorted <- None
@@ -46,19 +55,18 @@ module Histogram = struct
   (* pooled samples, not a sketch: the merged histogram is exactly the
      one a single collector would have produced *)
   let merge a b =
-    {
-      samples = List.rev_append a.samples b.samples;
-      n = a.n + b.n;
-      sum = a.sum +. b.sum;
-      sorted = None;
-    }
+    let samples = Float.Array.create (a.n + b.n) in
+    Float.Array.blit a.samples 0 samples 0 a.n;
+    Float.Array.blit b.samples 0 samples a.n b.n;
+    { samples; n = a.n + b.n; sum = a.sum +. b.sum; sorted = None }
+
   let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
 
   let sorted t =
     match t.sorted with
     | Some a -> a
     | None ->
-      let a = Array.of_list t.samples in
+      let a = Array.init t.n (Float.Array.get t.samples) in
       Array.sort compare a;
       t.sorted <- Some a;
       a
@@ -137,9 +145,7 @@ module Registry = struct
   let histogram t ?(labels = []) name =
     get t ~name ~labels ~kind:"histogram"
       ~make:(fun () ->
-        let h =
-          { Histogram.samples = []; n = 0; sum = 0.; sorted = None }
-        in
+        let h = Histogram.create () in
         (h, M_histogram h))
       ~cast:(function M_histogram h -> Some h | _ -> None)
 

@@ -1,6 +1,7 @@
 (* Tests for lib/chaos: fault-plan determinism, workload survival under
-   loss with reliable STS, and the invariant checker (including its
-   self-test against a deliberately corrupted cluster). *)
+   loss with reliable STS, a read grant reordered behind its own
+   invalidation, and the invariant checker (including its self-test
+   against a deliberately corrupted cluster). *)
 
 module Cluster = Asvm_cluster.Cluster
 module Config = Asvm_cluster.Config
@@ -124,6 +125,67 @@ let test_checker_over_seeded_plans () =
         o.Soak.violations)
     outcomes
 
+(* A read grant overtaken on the wire by the invalidation its owner
+   sent right after it (a retransmission does this under a lossy
+   plan).  3 nodes; node 1 owns page 0 with value 99; node 2 reads it.
+   An STS interposer holds node 1's page-carrying reply to node 2 for
+   10 ms and, as it does, has node 1 write 100, which invalidates
+   node 2 while the reply is still on the wire.  The late grant must
+   not install a copy node 1 no longer tracks: node 2 asks again and
+   reads 100. *)
+let test_overtaken_read_grant () =
+  let held = ref false and write_now = ref ignore in
+  let interposer ~now:_ ~index:_ ~src ~dst ~carries_page =
+    if carries_page && src = 1 && dst = 2 && not !held then begin
+      held := true;
+      !write_now ();
+      { Sts.deliveries = [ 10. ] }
+    end
+    else Sts.pass
+  in
+  let cfg = Config.default ~nodes:3 in
+  let asvm = cfg.Config.asvm in
+  let cfg =
+    {
+      cfg with
+      Config.asvm =
+        {
+          asvm with
+          Asvm_core.Asvm.sts =
+            { asvm.Asvm_core.Asvm.sts with Sts.interposer = Some interposer };
+        };
+    }
+  in
+  let cl = Cluster.create cfg in
+  let obj =
+    Cluster.create_shared_object cl ~size_pages:2 ~sharers:[ 0; 1; 2 ] ()
+  in
+  let task node =
+    let t = Cluster.create_task cl ~node in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:2
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let t1 = task 1 and t2 = task 2 in
+  Cluster.write_word cl ~task:t1 ~addr:0 ~value:99 ignore;
+  Cluster.run cl;
+  let wrote = ref false and read = ref None in
+  (write_now :=
+     fun () ->
+       Cluster.write_word cl ~task:t1 ~addr:0 ~value:100 (fun () ->
+           wrote := true));
+  Cluster.read_word cl ~task:t2 ~addr:0 (fun v -> read := Some v);
+  Cluster.run cl;
+  Alcotest.(check bool) "the reply was held" true !held;
+  Alcotest.(check bool) "node 1's write completes" true !wrote;
+  Alcotest.(check (option int)) "node 2 reads the new value" (Some 100) !read;
+  Alcotest.(check (list string)) "invariants hold" [] (Invariants.check cl);
+  let revoked =
+    Asvm_obs.Metrics.counter_total (Cluster.metrics_snapshot cl)
+      "asvm.revoked_reads"
+  in
+  Alcotest.(check int) "one read grant revoked" 1 revoked
+
 (* -------------------- checker self-test ---------------------------- *)
 
 (* A healthy 3-node cluster where node 1 wrote a page and nodes 0 and 2
@@ -188,6 +250,8 @@ let () =
         [
           Alcotest.test_case "workloads survive 1% loss" `Slow
             test_workloads_survive_loss;
+          Alcotest.test_case "read grant overtaken by its invalidation"
+            `Quick test_overtaken_read_grant;
         ] );
       ( "invariants",
         [

@@ -205,6 +205,62 @@ let test_rejoin_reuses_task () =
   Alcotest.(check (list string)) "invariants hold after rejoin" []
     (Invariants.check cl)
 
+(* A pager supply dead-letters at a reader that crashed while the
+   disk read was in flight.  6 nodes, a file object with data on
+   sharers 1-5, page 3 (static manager: node 4).  Node 3 reads page 3
+   and crashes [crash_after] ms later; node 1 writes the page at [w1]
+   and is supplied by the pager meanwhile; node 2 writes it at [w2].
+   Salvaging the dead supply must not erase node 1's newer grant from
+   the pager's table, or node 2's lookup is supplied a second owner. *)
+let salvage_after_regrant ~crash_after ~w1 ~w2 =
+  let cl = Cluster.create (Config.default ~nodes:6) in
+  let wpp = (Cluster.config cl).Config.vm.Vm_config.words_per_page in
+  let obj =
+    Cluster.create_file_object cl ~size_pages:8 ~sharers:[ 1; 2; 3; 4; 5 ]
+      ~data:(fun w -> w) ()
+  in
+  let task n =
+    let t = Cluster.create_task cl ~node:n in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:8
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let t1, t2, t3, t4 = (task 1, task 2, task 3, task 4) in
+  let eng = Cluster.engine cl in
+  let writes = ref 0 in
+  Cluster.touch cl ~task:t3 ~vpage:3 ~want:Prot.Read_only ignore;
+  Engine.schedule eng ~delay:crash_after (fun () ->
+      Cluster.crash_node cl ~node:3);
+  Engine.schedule eng ~delay:w1 (fun () ->
+      Cluster.write_word cl ~task:t1 ~addr:(3 * wpp) ~value:101 (fun () ->
+          incr writes));
+  Engine.schedule eng ~delay:w2 (fun () ->
+      Cluster.write_word cl ~task:t2 ~addr:((3 * wpp) + 1) ~value:202
+        (fun () -> incr writes));
+  Cluster.run cl;
+  let tag =
+    Printf.sprintf "crash +%.1f, writes at %.1f/%.1f ms" crash_after w1 w2
+  in
+  Alcotest.(check int) (tag ^ ": both writes complete") 2 !writes;
+  Alcotest.(check (list string)) (tag ^ ": invariants hold") []
+    (Invariants.check cl);
+  let seen = ref [] in
+  List.iter
+    (fun addr ->
+      Cluster.read_word cl ~task:t4 ~addr (fun v -> seen := v :: !seen);
+      Cluster.run cl)
+    [ 3 * wpp; (3 * wpp) + 1 ];
+  Alcotest.(check (list int)) (tag ^ ": both writes visible") [ 202; 101 ] !seen
+
+let test_salvage_keeps_newer_grant () =
+  salvage_after_regrant ~crash_after:0.8 ~w1:1.0 ~w2:3.0;
+  List.iter
+    (fun crash_after ->
+      List.iter
+        (fun w2 -> salvage_after_regrant ~crash_after ~w1:0.9 ~w2)
+        [ 2.0; 3.0; 5.0 ])
+    [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
+
 let () =
   Alcotest.run "crash"
     [
@@ -227,5 +283,7 @@ let () =
             test_down_node_silence;
           Alcotest.test_case "rejoin restores the node" `Quick
             test_rejoin_reuses_task;
+          Alcotest.test_case "salvage keeps a newer pager grant" `Quick
+            test_salvage_keeps_newer_grant;
         ] );
     ]

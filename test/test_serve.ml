@@ -358,7 +358,7 @@ let asvm_count_series =
     ("forward.fresh_hint", fwd "fresh_hint");
     ("forward.paged_hint", fwd "paged_hint");
     ("forward.global_sweeps", fwd "global_sweep");
-    ("forward.park_timeouts", ("asvm.park_timeouts", []));
+    ("forward.escalations", fwd "escalation");
     ("ownership_transfers", ("asvm.ownership_transfers", []));
     ("invalidations", ("asvm.invalidations", []));
     ("zero_grants", ("asvm.zero_grants", []));
@@ -378,12 +378,24 @@ let asvm_count_series =
     ("crash.stale_replies", crash "stale_reply");
     ("crash.lost_grants", crash "lost_grant");
     ("crash.lost_pages", crash "lost_page");
+    ("revoked_reads", ("asvm.revoked_reads", []));
   ]
 
-(* 16 nodes at 4,000 req/s queue the mesh past the 50 ms park timeout,
-   so the cell takes the parking-cycle escape as well as every
-   eviction step: each count [Asvm.counters] shows must equal its
-   registry series, and the park timeouts must reach the snapshot. *)
+(* A cell's global sweeps and hint-loop breaks.  Parking has no
+   timeout, so no sweep comes from a parked request: in the cells
+   below every sweep is a loop break. *)
+let sweeps_and_loop_breaks snap =
+  let forwarding m =
+    match Metrics.find snap "asvm.forwarding" [ ("mechanism", m) ] with
+    | Some (Metrics.Counter_v n) -> n
+    | _ -> Alcotest.failf "no asvm.forwarding{mechanism=%s} series" m
+  in
+  (forwarding "global_sweep", forwarding "loop_break")
+
+(* 16 nodes at 4,000 req/s queue the mesh well past ordinary fault
+   latency and take every eviction step: each count [Asvm.counters]
+   shows must equal its registry series, and every global sweep must
+   be a hint-loop break. *)
 let test_asvm_counts_in_registry () =
   let view = ref (Asvm_simcore.Stats.Counters.create ()) in
   let snap = ref [] in
@@ -416,9 +428,51 @@ let test_asvm_counts_in_registry () =
         (Asvm_simcore.Stats.Counters.get !view name)
         (series_value series))
     asvm_count_series;
-  Alcotest.(check bool)
-    "park timeouts in the snapshot" true
-    (series_value ("asvm.park_timeouts", []) > 0)
+  let sweeps, loop_breaks = sweeps_and_loop_breaks !snap in
+  Alcotest.(check bool) "the cell sweeps" true (sweeps > 0);
+  Alcotest.(check int) "every global sweep is a loop break" loop_breaks sweeps
+
+(* The chaos-composed cell of [bench -- serve] at full length: 4 nodes,
+   Poisson 1,000 req/s for 1.2 s over 1.5x fleet memory, 2 % message
+   loss absorbed by the reliable STS.  Parking without a timer must
+   stay acyclic here: with the timer simply deleted, two static
+   managers each parked a request while their own sat parked at the
+   other node, and 21 requests never completed. *)
+let test_chaos_cell_drains () =
+  let module Plan = Asvm_chaos.Plan in
+  let module Sts = Asvm_sts.Sts in
+  let plan = Plan.lossy ~p:0.02 ~seed:1096 () in
+  let violations = ref [ "inspect never ran" ] and snap = ref [] in
+  let r =
+    Serve.run ~mm:Config.Mm_asvm
+      ~tweak:(fun (c : Config.t) ->
+        let sts =
+          {
+            c.Config.asvm.Asvm_core.Asvm.sts with
+            Sts.interposer = Some (Plan.sts_interposer plan);
+            reliability = Some Sts.default_reliability;
+          }
+        in
+        {
+          c with
+          Config.net_interposer = Some (Plan.net_interposer plan);
+          asvm = { c.Config.asvm with sts };
+        })
+      ~inspect:(fun cl ->
+        violations := Asvm_chaos.Invariants.check cl;
+        snap := Asvm_cluster.Cluster.metrics_snapshot cl)
+      {
+        Serve.default_params with
+        Serve.duration_ms = 1200.;
+        queue_samples = 16;
+      }
+  in
+  Alcotest.(check int) "requests issued" 1232 r.Serve.requests;
+  Alcotest.(check int) "every request completes" r.Serve.requests
+    r.Serve.completions;
+  Alcotest.(check (list string)) "invariants hold" [] !violations;
+  let sweeps, loop_breaks = sweeps_and_loop_breaks !snap in
+  Alcotest.(check int) "every global sweep is a loop break" loop_breaks sweeps
 
 let () =
   Alcotest.run "serve"
@@ -466,5 +520,7 @@ let () =
           Alcotest.test_case "seed is live" `Quick test_serve_seed_changes_run;
           Alcotest.test_case "asvm counts live in the registry" `Quick
             test_asvm_counts_in_registry;
+          Alcotest.test_case "chaos-composed cell drains acyclically" `Quick
+            test_chaos_cell_drains;
         ] );
     ]
