@@ -9,9 +9,9 @@
      asvm-sim em3d   --mm asvm --nodes 32 --cells 256000 --iterations 20
      asvm-sim serve  --mm asvm --arrival bursty --oversub 3.0
      asvm-sim serve  --nodes 16 --rate 4000 --trace-out serve.jsonl
-     asvm-sim sweep  --experiment table1 --jobs 4
-     asvm-sim chaos  --seeds 10
-     asvm-sim chaos  --seed 3 --workload file --mm asvm *)
+     asvm-sim chaos  --seed 3 --workload file --mm asvm
+     asvm-sim bench  table1 figure10 --jobs 4
+     asvm-sim bench  chaos --seeds 10 *)
 
 open Cmdliner
 
@@ -51,6 +51,11 @@ let metrics_term =
     value & flag
     & info [ "metrics" ]
         ~doc:"Print the metric registry snapshot after the run.")
+
+let quick_term =
+  Arg.(
+    value & flag
+    & info [ "quick" ] ~doc:"Shrink the workload sizes (CI smoke).")
 
 let print_snapshot ~header snapshot =
   Printf.printf "\n%s\n" header;
@@ -288,14 +293,7 @@ let serve_cmd =
     let process =
       match arrival with
       | `Poisson -> Arrival.Poisson { rate_per_s = rate }
-      | `Bursty ->
-        Arrival.Bursty
-          {
-            on_rate_per_s = rate *. 2.5;
-            off_rate_per_s = rate /. 4.;
-            on_ms = 40.;
-            off_ms = 60.;
-          }
+      | `Bursty -> Bench.bursty rate
     in
     let key_dist =
       match zipf with
@@ -342,16 +340,19 @@ let serve_cmd =
     Option.iter
       (fun f -> Printf.printf "\ntrace written to %s\n" f)
       trace_out;
-    (* the percentiles cover completed requests only: a stranded one
-       would not show in them *)
-    if r.Serve.completions <> r.Serve.requests then exit 1
+    Option.iter
+      (fun e ->
+        prerr_endline ("asvm-sim: serve: " ^ e);
+        exit 1)
+      (Bench.serve_fault r)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Open-loop serving workload: SLO percentiles under memory \
           oversubscription (see docs/SERVING.md).  Exits 1 when a request \
-          does not complete.")
+          does not complete, the percentiles are out of order or the shard \
+          merge is inexact.")
     Term.(
       const run $ mm_term $ nodes_term $ arrival_term $ rate_term
       $ oversub_term $ duration_term $ read_fraction_term $ zipf_term
@@ -362,19 +363,13 @@ let serve_cmd =
 let chaos_cmd =
   let module Plan = Asvm_chaos.Plan in
   let module Soak = Asvm_chaos.Soak in
-  let seeds_term =
-    Arg.(
-      value & opt int 10
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Random fault plans per (protocol, workload) cell.")
-  in
   let seed_term =
     Arg.(
-      value
+      required
       & opt (some int) None
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
-            "Reproduce one soak cell exactly: the plan is regenerated from \
+            "The soak cell to reproduce: the plan is regenerated from \
              $(docv) and replayed against $(b,--workload) under $(b,--mm).")
   in
   let workload_term =
@@ -382,41 +377,36 @@ let chaos_cmd =
       value
       & opt (enum (List.map (fun w -> (w, w)) Soak.workloads)) "fault"
       & info [ "workload" ] ~docv:"W"
-          ~doc:"Workload for $(b,--seed) mode: fault, chain, file or em3d.")
-  in
-  let quick_term =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Shrink the workload sizes (CI smoke).")
+          ~doc:"Workload: fault, chain, file or em3d.")
   in
   let crash_term =
     Arg.(
       value & flag
       & info [ "crash" ]
           ~doc:
-            "Add rolling whole-node crash/rejoin to the run.  Alone: run \
-             only the deterministic crash cells (k=1 and k=2 per workload \
-             and protocol).  With $(b,--seed): overlay the crash schedule \
-             on the seeded message-fault plan (see docs/AVAILABILITY.md).")
+            "Overlay a rolling whole-node crash/rejoin schedule on the \
+             seeded message-fault plan (see docs/AVAILABILITY.md).")
   in
   let k_term =
     Arg.(
       value & opt int 1
       & info [ "k" ] ~docv:"K"
-          ~doc:
-            "Concurrently-down nodes for $(b,--crash) with $(b,--seed) \
-             (default 1).")
+          ~doc:"Concurrently-down nodes for $(b,--crash) (default 1).")
   in
-  let jobs_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the soak pool; plans and outcomes are \
-             independent of $(docv).")
-  in
-  let print_crash_stats (o : Soak.outcome) =
+  let run mm seed workload quick crash k =
+    let lossy = mm = Config.Mm_asvm in
+    let plan = Plan.random ~seed ~lossy in
+    let plan =
+      if crash then
+        Plan.with_crashes plan (Soak.crash_plan ~workload ~k).Plan.crashes
+      else plan
+    in
+    Printf.printf "plan: %s\n%!" (Plan.describe plan);
+    let o = Soak.run_one ~quick ~mm ~workload ~plan ~reliable:lossy () in
+    Printf.printf "%s %s: %s, %d retransmits, %d duplicates dropped\n"
+      (Config.mm_name mm) workload
+      (if o.Soak.completed then "completed" else "DID NOT COMPLETE")
+      o.Soak.retransmits o.Soak.duplicates_dropped;
     if o.Soak.crashes > 0 then begin
       Printf.printf "crashes: %d, rejoins: %d, lost pages (sole copy died): %d\n"
         o.Soak.crashes o.Soak.rejoins o.Soak.lost_pages;
@@ -424,154 +414,91 @@ let chaos_cmd =
       | Some p50, Some p99 ->
         Printf.printf "recovery latency: p50=%.2f ms p99=%.2f ms\n" p50 p99
       | _ -> ()
-    end
-  in
-  let run mm seed seeds workload quick crash k jobs =
-    match seed with
-    | Some seed ->
-      (* reproduce-by-seed: one cell, plan printed in full *)
-      let lossy = mm = Config.Mm_asvm in
-      let plan = Plan.random ~seed ~lossy in
-      let plan =
-        if crash then
-          Plan.with_crashes plan (Soak.crash_plan ~workload ~k).Plan.crashes
-        else plan
-      in
-      Printf.printf "plan: %s\n%!" (Plan.describe plan);
-      let o = Soak.run_one ~quick ~mm ~workload ~plan ~reliable:lossy () in
-      Printf.printf "%s %s: %s, %d retransmits, %d duplicates dropped\n"
-        (Config.mm_name mm) workload
-        (if o.Soak.completed then "completed" else "DID NOT COMPLETE")
-        o.Soak.retransmits o.Soak.duplicates_dropped;
-      print_crash_stats o;
-      Option.iter (fun e -> Printf.printf "error: %s\n" e) o.Soak.error;
-      List.iter (fun v -> Printf.printf "violation: %s\n" v) o.Soak.violations;
-      if o.Soak.violations <> [] || not o.Soak.completed then exit 1
-    | None when crash ->
-      (* the deterministic crash cells only: rolling k-of-n per workload
-         and protocol, perfect network *)
-      let cells =
-        List.concat_map
-          (fun workload ->
-            List.concat_map
-              (fun k ->
-                [ (Config.Mm_asvm, workload, k, true);
-                  (Config.Mm_xmm, workload, k, false) ])
-              [ 1; 2 ])
-          Soak.workloads
-      in
-      let outcomes =
-        Asvm_runner.Runner.map ?jobs
-          (fun (mm, workload, k, reliable) ->
-            Soak.run_one ~quick ~mm ~workload
-              ~plan:(Soak.crash_plan ~workload ~k)
-              ~reliable ())
-          cells
-      in
-      List.iter
-        (fun o ->
-          Format.printf "  %a@." Soak.pp_outcome o;
-          List.iter
-            (fun v -> Format.printf "    violation: %s@." v)
-            o.Soak.violations)
-        outcomes;
-      Format.pp_print_flush Format.std_formatter ();
-      if
-        List.exists
-          (fun o -> o.Soak.violations <> [] || not o.Soak.completed)
-          outcomes
-      then exit 1
-    | None ->
-      let r = Soak.run ?jobs ~seeds ~quick () in
-      Soak.pp_report Format.std_formatter r;
-      Format.pp_print_flush Format.std_formatter ();
-      if r.Soak.total_violations > 0 || r.Soak.incomplete > 0 then exit 1
+    end;
+    Option.iter (fun e -> Printf.printf "error: %s\n" e) o.Soak.error;
+    List.iter (fun v -> Printf.printf "violation: %s\n" v) o.Soak.violations;
+    if o.Soak.violations <> [] || not o.Soak.completed then exit 1
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Fault-injection soak: seeded fault plans and rolling node \
-          crash/rejoin schedules against every workload, with protocol \
-          invariant checks after quiesce (see docs/RELIABILITY.md and \
-          docs/AVAILABILITY.md).")
+         "Replay one cell of the fault-injection soak ($(b,bench chaos)): a \
+          seeded fault plan, optionally with rolling node crash/rejoin, \
+          against one workload, with protocol invariant checks after \
+          quiesce (see docs/RELIABILITY.md and docs/AVAILABILITY.md).  \
+          Exits 1 on a violation or an incomplete run.")
     Term.(
-      const run $ mm_term $ seed_term $ seeds_term $ workload_term $ quick_term
-      $ crash_term $ k_term $ jobs_term)
+      const run $ mm_term $ seed_term $ workload_term $ quick_term
+      $ crash_term $ k_term)
 
-(* -------------------------------- sweep ----------------------------- *)
+(* -------------------------------- bench ----------------------------- *)
 
-let sweep_cmd =
-  let experiment_term =
+let bench_cmd =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let names_term =
+    let named_only =
+      List.filter_map
+        (fun (name, by_default, _) -> if by_default then None else Some name)
+        Bench.experiments
+    in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("table1", `Table1);
-               ("figure10", `Figure10);
-               ("figure11", `Figure11);
-               ("table2", `Table2);
-             ])
-          `Table1
-      & info [ "experiment" ] ~docv:"NAME"
+      & pos_all
+          (enum (List.map (fun (name, _, _) -> (name, name)) Bench.experiments))
+          []
+      & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "Which sweep to run: $(b,table1), $(b,figure10), $(b,figure11) or \
-             $(b,table2).")
+            (Printf.sprintf
+               "Experiments to run; they run in table order.  With none, \
+                every paper experiment runs; %s run only when named."
+               (String.concat ", " named_only)))
+  in
+  let metrics_term =
+    Arg.(
+      value & flag
+      & info [ "metrics" ]
+          ~doc:
+            "With $(b,table1): also print its message-count columns, read \
+             off the metric registry.")
   in
   let jobs_term =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the cell pool (default: the recommended \
              domain count; 1 = sequential).  Results are independent of \
              $(docv).")
   in
-  let run experiment jobs =
-    (match jobs with
-    | Some j when j < 1 ->
-      prerr_endline "asvm-sim: --jobs expects a positive integer";
-      exit 2
-    | _ -> ());
-    match experiment with
-    | `Table1 ->
-      Printf.printf "%-52s %8s %8s\n" "fault type" "ASVM" "XMM";
-      List.iter
-        (fun (label, asvm, xmm) ->
-          Printf.printf "%-52s %8.2f %8.2f\n" label asvm xmm)
-        (Fault_micro.table1 ?jobs ())
-    | `Figure10 ->
-      Printf.printf "%8s %12s %14s %12s %14s\n" "readers" "ASVM write"
-        "ASVM upgrade" "XMM write" "XMM upgrade";
-      List.iter
-        (fun (n, aw, au, xw, xu) ->
-          Printf.printf "%8d %12.2f %14.2f %12.2f %14.2f\n" n aw au xw xu)
-        (Fault_micro.figure10 ?jobs ~readers:[ 1; 2; 4; 8; 16; 32; 64 ] ())
-    | `Figure11 ->
-      Printf.printf "%8s %14s %14s\n" "chain" "ASVM (ms)" "XMM (ms)";
-      let chains = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-      let asvm, _ = Copy_chain.figure11 ?jobs ~mm:Config.Mm_asvm ~chains () in
-      let xmm, _ = Copy_chain.figure11 ?jobs ~mm:Config.Mm_xmm ~chains () in
-      List.iter2
-        (fun (a : Copy_chain.result) (x : Copy_chain.result) ->
-          Printf.printf "%8d %14.2f %14.2f\n" a.Copy_chain.chain
-            a.Copy_chain.mean_fault_ms x.Copy_chain.mean_fault_ms)
-        asvm xmm
-    | `Table2 ->
-      Printf.printf "%6s %10s %10s %10s %10s\n" "nodes" "ASVM wr" "XMM wr"
-        "ASVM rd" "XMM rd";
-      List.iter
-        (fun (n, aw, xw, ar, xr) ->
-          Printf.printf "%6d %10.2f %10.2f %10.2f %10.2f\n" n aw xw ar xr)
-        (File_io.table2 ?jobs ~node_counts:[ 1; 2; 4; 8; 16; 32; 64 ] ())
+  let seeds_term =
+    Arg.(
+      value & opt positive 10
+      & info [ "seeds" ] ~docv:"N"
+          ~doc:
+            "Random fault plans per (protocol, workload) cell of \
+             $(b,chaos).")
+  in
+  let run names quick metrics jobs seeds =
+    Bench.run ~quick ~metrics ~seeds ~jobs names
   in
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info "bench"
        ~doc:
-         "Run a whole table/figure as a batch of independent cells on the \
-          parallel job pool.")
-    Term.(const run $ experiment_term $ jobs_term)
+         "Regenerate the paper's tables and figures next to the published \
+          numbers, the DESIGN.md ablations, and the harness benchmarks \
+          that write BENCH_*.json.")
+    Term.(
+      const run $ names_term $ quick_term $ metrics_term $ jobs_term
+      $ seeds_term)
 
 let () =
   let doc = "ASVM multicomputer simulator (USENIX '96 reproduction)" in
@@ -581,7 +508,7 @@ let () =
       (Cmd.group info
          [
            fault_cmd; chain_cmd; file_cmd; em3d_cmd; sor_cmd; serve_cmd;
-           sweep_cmd; chaos_cmd;
+           chaos_cmd; bench_cmd;
          ])
   with
   | code -> exit code

@@ -23,7 +23,7 @@ echo "== selfbench smoke (--quick, 2 jobs)"
 # selfbench parses the file back through Asvm_obs.Json before exiting,
 # so a zero exit already means well-formed JSON; re-check the schema
 # tag here so a stale file can't satisfy this step
-dune exec bench/main.exe -- --quick selfbench --jobs 2
+dune exec bin/asvm_sim.exe -- bench --quick selfbench --jobs 2
 test -s BENCH_selfbench.json
 head -c 64 BENCH_selfbench.json | grep -q '"schema":"asvm.selfbench/v1"'
 
@@ -32,17 +32,18 @@ echo "== pagestore smoke (--quick)"
 # the eager baseline or the table2 cell pays as many materializations
 # as snapshots, and parses the file back before exiting; re-check the
 # schema tag and the sharing verdict on the file itself
-dune exec bench/main.exe -- --quick pagestore
+dune exec bin/asvm_sim.exe -- bench --quick pagestore
 test -s BENCH_pagestore.json
 head -c 64 BENCH_pagestore.json | grep -q '"schema":"asvm.pagestore/v1"'
 grep -q '"cow_lt_snapshots":true' BENCH_pagestore.json
 
 echo "== chaos smoke (--quick, 3 seeds)"
 # the chaos experiment exits nonzero on any invariant violation, lost
-# write or incomplete cell and validates its JSON by parsing it back;
-# re-check the schema tag and the zero-violation verdict on the file
-# itself
-dune exec bench/main.exe -- --quick chaos --seeds 3
+# write or incomplete cell, including its rolling k-of-n whole-node
+# crash/rejoin cells (docs/AVAILABILITY.md), and validates its JSON by
+# parsing it back; re-check the schema tag and the zero-violation
+# verdict on the file itself
+dune exec bin/asvm_sim.exe -- bench --quick chaos --seeds 3
 test -s BENCH_chaos.json
 head -c 96 BENCH_chaos.json | grep -q '"schema":"asvm.chaos/v1"'
 head -c 96 BENCH_chaos.json | grep -q '"total_violations":0'
@@ -54,7 +55,7 @@ echo "== serve grid (full, 2 jobs)"
 # violation in the full-length chaos-composed cell, and parses the
 # file back before exiting; re-check the schema tag, the percentile
 # ordering verdict and the tail-percentile field on the file itself
-dune exec bench/main.exe -- serve --jobs 2
+dune exec bin/asvm_sim.exe -- bench serve --jobs 2
 test -s BENCH_serve.json
 head -c 64 BENCH_serve.json | grep -q '"schema":"asvm.serve/v1"'
 grep -q '"percentiles_ordered":true' BENCH_serve.json
@@ -82,11 +83,17 @@ for seed in 32 44 88 111; do
     --duration-ms 200 --seed "$seed"
 done
 
-echo "== crash-soak smoke (--crash --quick)"
-# rolling k-of-n whole-node crash/rejoin under every workload and both
-# protocols (docs/AVAILABILITY.md); nonzero exit on any violation,
-# lost write or incomplete cell
-dune exec bin/asvm_sim.exe -- chaos --crash --quick --jobs 2
+echo "== paper experiments smoke (--quick, 2 jobs)"
+# Tables 1-3, Figures 10-11 and the ablations at quick sizes; bechamel
+# is left out because it times the host, not the simulator
+dune exec bin/asvm_sim.exe -- bench --quick --metrics --jobs 2 \
+  table1 figure10 figure11 table2 table3 ablation-forwarding \
+  ablation-paging ablation-readerlist ablation-striping ablation-memory
+# an unknown experiment name is a usage error, not a silent no-op
+if dune exec bin/asvm_sim.exe -- bench nosuch >/dev/null 2>&1; then
+  echo "asvm-sim bench accepted an unknown experiment name" >&2
+  exit 1
+fi
 
 echo "== docs link check"
 # every relative markdown link and every docs/*.md path mentioned in
@@ -102,7 +109,7 @@ for doc in README.md docs/*.md; do
     fi
   done
 done
-grep -rho 'docs/[A-Z_]*\.md' lib bin bench --include='*.ml*' | sort -u |
+grep -rho 'docs/[A-Z_]*\.md' lib bin --include='*.ml*' | sort -u |
 while read -r target; do
   if ! [ -e "$target" ]; then
     echo "source code references missing doc: $target" >&2

@@ -115,34 +115,25 @@ let histogram_p snap name =
   | Some (Metrics.Histogram_v h) -> (Some h.p50, Some h.p99)
   | _ -> (None, None)
 
-let run_one ?quick ~mm ~workload ~plan ~reliable () =
-  let tweak (c : Config.t) =
-    let c = { c with net_interposer = Some (Plan.net_interposer plan) } in
-    match mm with
-    | Config.Mm_xmm -> c
-    | Config.Mm_asvm ->
-      (* ASVM additionally takes the plan at the STS logical layer and,
-         when asked, arms the reliability machinery that must mask it *)
-      let sts =
-        {
-          c.asvm.sts with
-          Sts.interposer = Some (Plan.sts_interposer plan);
-          reliability = (if reliable then Some Sts.default_reliability else None);
-        }
-      in
-      { c with asvm = { c.asvm with sts } }
+let apply_plan ?record ~reliable plan (c : Config.t) =
+  let sts =
+    {
+      c.asvm.sts with
+      Sts.interposer = Some (Plan.sts_interposer ?record plan);
+      reliability = (if reliable then Some Sts.default_reliability else None);
+    }
   in
+  {
+    c with
+    net_interposer = Some (Plan.net_interposer ?record plan);
+    asvm = { c.asvm with sts };
+  }
+
+let run_one ?quick ~mm ~workload ~plan ~reliable () =
   let violations = ref [] in
   let snap = ref [] in
-  let lost_pages = ref 0 in
   let inspect cl =
     violations := Invariants.check cl;
-    (match Cluster.backend cl with
-    | `Asvm a ->
-      lost_pages :=
-        Asvm_simcore.Stats.Counters.get (Asvm_core.Asvm.counters a)
-          "crash.lost_pages"
-    | `Xmm _ -> ());
     snap := Cluster.metrics_snapshot cl
   in
   (* arm the plan's crash schedule once the workload's setup phase is
@@ -160,7 +151,10 @@ let run_one ?quick ~mm ~workload ~plan ~reliable () =
   in
   let crash = plan.Plan.crashes <> [] in
   let error =
-    match dispatch ?quick ~crash ~mm ~tweak ~inspect ~on_start workload with
+    match
+      dispatch ?quick ~crash ~mm ~tweak:(apply_plan ~reliable plan) ~inspect
+        ~on_start workload
+    with
     | () -> None
     | exception e -> Some (Printexc.to_string e)
   in
@@ -186,7 +180,10 @@ let run_one ?quick ~mm ~workload ~plan ~reliable () =
     cpu_s = gauge s "engine.cpu_s";
     crashes = Metrics.counter_total s "chaos.crashes";
     rejoins = Metrics.counter_total s "chaos.rejoins";
-    lost_pages = !lost_pages;
+    lost_pages =
+      Metrics.counter_total
+        ~where:(fun ls -> List.assoc_opt "event" ls = Some "lost_page")
+        s "asvm.crash";
     recovery_p50_ms;
     recovery_p99_ms;
   }

@@ -14,8 +14,9 @@
     protocols, on a perfect network so every anomaly is attributable to
     recovery itself.  Crash cells report recovery latency percentiles
     (the [asvm.recovery_ms] / [xmm.recovery_ms] histograms) and the
-    pages whose sole copy died with a node ([crash.lost_pages] — the
-    documented, non-silent loss of [docs/AVAILABILITY.md]).
+    pages whose sole copy died with a node
+    ([asvm.crash{event="lost_page"}] — the documented, non-silent loss
+    of [docs/AVAILABILITY.md]).
 
     Every cell is an independent simulation and runs as a pure job on
     the {!Asvm_runner.Runner} pool; outcomes are independent of [jobs].
@@ -79,8 +80,21 @@ val workloads : string list
     @raise Invalid_argument on an unknown workload or [k < 1]. *)
 val crash_plan : workload:string -> k:int -> Plan.t
 
-(** Run one cell: [workload] under [plan], with reliable STS iff
-    [reliable].  This is the reproduce-by-seed entry point. *)
+(** [apply_plan ?record ~reliable plan config] installs [plan] in
+    [config]: at the mesh ({!Plan.net_interposer}) and at the STS
+    logical layer ({!Plan.sts_interposer}), both reporting to [record],
+    with the reliable STS on iff [reliable].  The STS settings only
+    matter under ASVM: XMM creates no STS. *)
+val apply_plan :
+  ?record:(Plan.event -> unit) ->
+  reliable:bool ->
+  Plan.t ->
+  Asvm_cluster.Config.t ->
+  Asvm_cluster.Config.t
+
+(** Run one cell: [workload] under [plan], installed by {!apply_plan}
+    with reliable STS iff [reliable].  This is the reproduce-by-seed
+    entry point. *)
 val run_one :
   ?quick:bool ->
   mm:Asvm_cluster.Config.mm ->

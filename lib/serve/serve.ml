@@ -1,10 +1,8 @@
 module Engine = Asvm_simcore.Engine
-module Stats = Asvm_simcore.Stats
 module Vm = Asvm_machvm.Vm
 module Vm_config = Asvm_machvm.Vm_config
 module Address_map = Asvm_machvm.Address_map
 module Store_pager = Asvm_pager.Store_pager
-module Asvm = Asvm_core.Asvm
 module Config = Asvm_cluster.Config
 module Cluster = Asvm_cluster.Cluster
 module Metrics = Asvm_obs.Metrics
@@ -133,6 +131,9 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
   let shards = Array.init p.nodes (fun _ -> Metrics.Histogram.create ()) in
   let inflight = ref 0 in
   let engine = Cluster.engine cl in
+  (* the last completion instant, stored unboxed so a completion does
+     not allocate *)
+  let last_completion = Float.Array.make 1 t0 in
   let samples = ref [] in
   if p.queue_samples > 0 then begin
     let step = p.duration_ms /. float_of_int p.queue_samples in
@@ -150,7 +151,9 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
           incr inflight;
           let finish () =
             decr inflight;
-            let lat = Engine.now engine -. issue_at in
+            let now = Engine.now engine in
+            Float.Array.set last_completion 0 now;
+            let lat = now -. issue_at in
             Metrics.Histogram.observe shards.(r.node) lat;
             Metrics.Histogram.observe lat_h lat;
             Metrics.Counter.incr completions_c
@@ -183,13 +186,14 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
     done;
     !acc
   in
-  let asvm_counter name =
-    match Cluster.backend cl with
-    | `Asvm a -> Stats.Counters.get (Asvm.counters a) name
-    | `Xmm _ -> 0
+  let snap = Cluster.metrics_snapshot cl in
+  let pageouts step =
+    Metrics.counter_total
+      ~where:(fun ls -> List.assoc_opt "step" ls = Some step)
+      snap "asvm.pageout"
   in
   let completions = Metrics.Counter.value completions_c in
-  let sim_ms = Cluster.now cl -. t0 in
+  let sim_ms = Float.Array.get last_completion 0 -. t0 in
   {
     mm;
     requests = Array.length reqs;
@@ -208,11 +212,11 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
     pageout_runs = sum_vm Vm.pageout_runs;
     pageout_evictions = sum_vm Vm.pageout_evictions;
     pager_stores = Store_pager.stores (Cluster.default_pager cl);
-    reader_handoffs = asvm_counter "pageout.reader_handoffs";
-    internode_pageouts = asvm_counter "pageout.internode";
-    pageouts_to_pager = asvm_counter "pageout.to_pager";
+    reader_handoffs = pageouts "reader_handoff";
+    internode_pageouts = pageouts "internode";
+    pageouts_to_pager = pageouts "to_pager";
     latency_values = Metrics.Histogram.values merged;
     merged_count = Metrics.Histogram.count merged;
     registry_count = Metrics.Histogram.count lat_h;
-    metrics = Cluster.metrics_snapshot cl;
+    metrics = snap;
   }

@@ -49,8 +49,11 @@ type result = {
       (** requests that completed by the drain; fewer than [requests]
           when the protocol strands one (percentiles cover completed
           requests only) *)
-  sim_ms : float;  (** serving window start (post warm-up) to drain *)
-  goodput_rps : float;  (** completions per simulated second *)
+  sim_ms : float;
+      (** serving window start (post warm-up) to the last completion; the
+          drain that follows, while the pager writes back dirty pages, is
+          not serving and is left out *)
+  goodput_rps : float;  (** completions per simulated second of [sim_ms] *)
   mean_ms : float;
   p50_ms : float;
   p99_ms : float;

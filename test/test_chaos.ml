@@ -43,24 +43,10 @@ let recorded_faults seed =
   let plan = Plan.random ~seed ~lossy:true in
   let events = ref [] in
   let record e = events := Plan.event_to_string e :: !events in
-  let tweak (c : Config.t) =
-    {
-      c with
-      net_interposer = Some (Plan.net_interposer ~record plan);
-      asvm =
-        {
-          c.asvm with
-          sts =
-            {
-              c.asvm.sts with
-              Sts.interposer = Some (Plan.sts_interposer ~record plan);
-              reliability = Some Sts.default_reliability;
-            };
-        };
-    }
-  in
   ignore
-    (Fault_micro.measure_instrumented ~nodes:8 ~tweak ~mm:Config.Mm_asvm
+    (Fault_micro.measure_instrumented ~nodes:8
+       ~tweak:(Soak.apply_plan ~record ~reliable:true plan)
+       ~mm:Config.Mm_asvm
        (Fault_micro.Write_fault { read_copies = 2 }));
   List.rev !events
 

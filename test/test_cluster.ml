@@ -8,6 +8,7 @@ module Config = Asvm_cluster.Config
 module Prot = Asvm_machvm.Prot
 module Address_map = Asvm_machvm.Address_map
 module Asvm = Asvm_core.Asvm
+module Metrics = Asvm_obs.Metrics
 
 let wpp = Asvm_machvm.Vm_config.default.words_per_page
 
@@ -390,11 +391,14 @@ let test_asvm_internode_paging () =
       (500 + p)
       (rd cl tasks.(2) (p * wpp))
   done;
-  let a = match Cluster.backend cl with `Asvm a -> a | `Xmm _ -> assert false in
-  let c = Asvm.counters a in
+  let snap = Cluster.metrics_snapshot cl in
+  let pageouts step =
+    Metrics.counter_total
+      ~where:(fun ls -> List.assoc_opt "step" ls = Some step)
+      snap "asvm.pageout"
+  in
   Alcotest.(check bool) "internode transfers happened" true
-    (Asvm_simcore.Stats.Counters.get c "pageout.internode" > 0
-    || Asvm_simcore.Stats.Counters.get c "pageout.reader_handoffs" > 0)
+    (pageouts "internode" > 0 || pageouts "reader_handoff" > 0)
 
 let test_file_object mm () =
   let cl = make ~mm () in
@@ -487,19 +491,19 @@ let test_forwarding_counters () =
     wr cl tasks.(2) 0 2;
     (* node 1 was invalidated: its dynamic hint points at node 2 *)
     ignore (rd cl tasks.(1) 0);
-    let a = match Cluster.backend cl with `Asvm a -> a | `Xmm _ -> assert false in
-    Asvm.counters a
+    let snap = Cluster.metrics_snapshot cl in
+    fun mechanism ->
+      Metrics.counter_total
+        ~where:(fun ls -> List.assoc_opt "mechanism" ls = Some mechanism)
+        snap "asvm.forwarding"
   in
-  let c = run { Asvm.dynamic = true; static = true } in
-  Alcotest.(check bool) "dynamic hints used" true
-    (Asvm_simcore.Stats.Counters.get c "forward.dynamic" > 0);
-  Alcotest.(check int) "no sweeps needed" 0
-    (Asvm_simcore.Stats.Counters.get c "forward.global_sweeps");
-  let c = run { Asvm.dynamic = false; static = false } in
-  Alcotest.(check int) "no dynamic when disabled" 0
-    (Asvm_simcore.Stats.Counters.get c "forward.dynamic");
+  let forwarding = run { Asvm.dynamic = true; static = true } in
+  Alcotest.(check bool) "dynamic hints used" true (forwarding "dynamic" > 0);
+  Alcotest.(check int) "no sweeps needed" 0 (forwarding "global_sweep");
+  let forwarding = run { Asvm.dynamic = false; static = false } in
+  Alcotest.(check int) "no dynamic when disabled" 0 (forwarding "dynamic");
   Alcotest.(check bool) "global sweeps as fallback" true
-    (Asvm_simcore.Stats.Counters.get c "forward.global_sweeps" > 0)
+    (forwarding "global_sweep" > 0)
 
 (* Property: a random sequential schedule of reads/writes from random
    nodes sees exactly the values of a trivial reference memory, under

@@ -321,7 +321,18 @@ let check_result label (r : Serve.result) =
   Alcotest.(check bool)
     (label ^ ": oversubscription forced paging") true (r.evictions > 0)
 
-let test_serve_smoke_asvm () = check_result "asvm" (Serve.run ~mm:Config.Mm_asvm quick_params)
+(* Goodput counts serving time only: ASVM keeps up with the offered
+   load, so it must serve at least 90 % of it.  (XMM falls behind.) *)
+let test_serve_smoke_asvm () =
+  let r = Serve.run ~mm:Config.Mm_asvm quick_params in
+  check_result "asvm" r;
+  let offered =
+    float_of_int r.Serve.requests /. (quick_params.Serve.duration_ms /. 1000.)
+  in
+  if r.Serve.goodput_rps < 0.9 *. offered then
+    Alcotest.failf "asvm: goodput %.0f req/s is below 90 %% of the offered %.0f"
+      r.Serve.goodput_rps offered
+
 let test_serve_smoke_xmm () = check_result "xmm" (Serve.run ~mm:Config.Mm_xmm quick_params)
 
 let test_serve_deterministic () =
@@ -432,32 +443,18 @@ let test_asvm_counts_in_registry () =
   Alcotest.(check bool) "the cell sweeps" true (sweeps > 0);
   Alcotest.(check int) "every global sweep is a loop break" loop_breaks sweeps
 
-(* The chaos-composed cell of [bench -- serve] at full length: 4 nodes,
-   Poisson 1,000 req/s for 1.2 s over 1.5x fleet memory, 2 % message
-   loss absorbed by the reliable STS.  Parking without a timer must
+(* The chaos-composed cell of [asvm-sim bench serve] at full length:
+   4 nodes, Poisson 1,000 req/s for 1.2 s over 1.5x fleet memory, 2 %
+   message loss absorbed by the reliable STS.  Parking without a timer must
    stay acyclic here: with the timer simply deleted, two static
    managers each parked a request while their own sat parked at the
    other node, and 21 requests never completed. *)
 let test_chaos_cell_drains () =
-  let module Plan = Asvm_chaos.Plan in
-  let module Sts = Asvm_sts.Sts in
-  let plan = Plan.lossy ~p:0.02 ~seed:1096 () in
+  let plan = Asvm_chaos.Plan.lossy ~p:0.02 ~seed:1096 () in
   let violations = ref [ "inspect never ran" ] and snap = ref [] in
   let r =
     Serve.run ~mm:Config.Mm_asvm
-      ~tweak:(fun (c : Config.t) ->
-        let sts =
-          {
-            c.Config.asvm.Asvm_core.Asvm.sts with
-            Sts.interposer = Some (Plan.sts_interposer plan);
-            reliability = Some Sts.default_reliability;
-          }
-        in
-        {
-          c with
-          Config.net_interposer = Some (Plan.net_interposer plan);
-          asvm = { c.Config.asvm with sts };
-        })
+      ~tweak:(Asvm_chaos.Soak.apply_plan ~reliable:true plan)
       ~inspect:(fun cl ->
         violations := Asvm_chaos.Invariants.check cl;
         snap := Asvm_cluster.Cluster.metrics_snapshot cl)
