@@ -628,11 +628,17 @@ let bechamel () =
 
 (* How fast does the simulator regenerate the paper's numbers?  A fixed
    batch of representative cells (one per table/figure family) runs
-   once sequentially and once on the pool; per-cell wall clock, total
-   events/second (off the engine.events gauge each cell's snapshot
-   carries) and the speedup go to stdout and BENCH_selfbench.json.
+   [selfbench_reps] rounds sequentially, then the same rounds on the
+   pool.  Each cell's set-up (workload call to its [on_start]: input,
+   cluster build, warm-up) and run ([on_start] to return) are timed and
+   their minor words counted separately, because the small Table 1
+   cells allocate mostly while building their cluster.  Per cell the
+   report gives the minimum and median over the sequential rounds;
+   events/second and the speedup come from the two batches' totals.
    Wall clock is Unix.gettimeofday: Sys.time sums CPU across domains
    and would hide any parallel speedup. *)
+
+let selfbench_reps ~quick = if quick then 3 else 5
 
 let selfbench_cells ~quick =
   let em3d_cells = if quick then 8_000 else 32_000 in
@@ -641,13 +647,14 @@ let selfbench_cells ~quick =
   let chain = if quick then 4 else 8 in
   let fault label mm kind =
     ( label,
-      fun () ->
-        (Fault_micro.measure_instrumented ~mm kind).Fault_micro.run_metrics )
+      fun ~on_start ->
+        (Fault_micro.measure_instrumented ~on_start ~mm kind)
+          .Fault_micro.run_metrics )
   in
   let em3d label mm =
     ( label,
-      fun () ->
-        (Em3d.run ~mm
+      fun ~on_start ->
+        (Em3d.run ~mm ~on_start
            {
              (Em3d.default_params ~cells:em3d_cells ~nodes:8) with
              iterations = em3d_iters;
@@ -664,18 +671,20 @@ let selfbench_cells ~quick =
     fault "table1/xmm_read_fault" Config.Mm_xmm
       (Fault_micro.Read_fault { nth_reader = 2 });
     ( "figure11/asvm_chain",
-      fun () ->
-        (Copy_chain.measure ~mm:Config.Mm_asvm ~chain ()).Copy_chain.metrics );
+      fun ~on_start ->
+        (Copy_chain.measure ~mm:Config.Mm_asvm ~chain ~on_start ())
+          .Copy_chain.metrics );
     ( "figure11/xmm_chain",
-      fun () ->
-        (Copy_chain.measure ~mm:Config.Mm_xmm ~chain ()).Copy_chain.metrics );
+      fun ~on_start ->
+        (Copy_chain.measure ~mm:Config.Mm_xmm ~chain ~on_start ())
+          .Copy_chain.metrics );
     ( "table2/asvm_read_16",
-      fun () ->
-        (File_io.read_test ~mm:Config.Mm_asvm ~nodes:16 ~file_mb ())
+      fun ~on_start ->
+        (File_io.read_test ~mm:Config.Mm_asvm ~nodes:16 ~file_mb ~on_start ())
           .File_io.metrics );
     ( "table2/xmm_write_16",
-      fun () ->
-        (File_io.write_test ~mm:Config.Mm_xmm ~nodes:16 ~file_mb ())
+      fun ~on_start ->
+        (File_io.write_test ~mm:Config.Mm_xmm ~nodes:16 ~file_mb ~on_start ())
           .File_io.metrics );
     em3d "table3/asvm_em3d" Config.Mm_asvm;
     em3d "table3/xmm_em3d" Config.Mm_xmm;
@@ -686,64 +695,121 @@ let engine_events snap =
   | Some (Metrics.Gauge_v v) -> int_of_float v
   | _ -> 0
 
-(* Per-cell allocation accounting rides along with the wall clock:
-   [Gc.quick_stat] counters are domain-local in OCaml 5 and each cell
-   runs entirely inside one pool domain, so the deltas isolate the
-   cell. minor/promoted words per event is the tracked number — it is
-   host-independent, unlike wall clock. *)
-type selfbench_row = {
-  sb_name : string;
+(* One timed execution of a cell.  [Gc.minor_words] and [Gc.quick_stat]
+   counters are domain-local in OCaml 5 and each cell runs entirely
+   inside one pool domain, so the deltas isolate the cell.  Minor words
+   per event is the tracked number: it is host-independent, unlike wall
+   clock. *)
+type selfbench_sample = {
   sb_events : int;
-  sb_wall : float;
-  sb_minor : float;  (* minor words allocated by the cell *)
+  sb_setup_s : float;
+  sb_run_s : float;
+  sb_setup_minor : float;  (* minor words from the call to [on_start] *)
+  sb_run_minor : float;  (* minor words from [on_start] to the return *)
   sb_promoted : float;
 }
 
-let selfbench_run ~jobs cells =
-  let t0 = Unix.gettimeofday () in
-  let rows =
-    Runner.run ~jobs
-      (List.map
-         (fun (name, f) () ->
-           let c0 = Unix.gettimeofday () in
-           (* Gc.minor_words reads the allocation pointer exactly;
-              quick_stat's copy lags until the next minor collection *)
-           let m0 = Gc.minor_words () in
-           let g0 = Gc.quick_stat () in
-           let snap = f () in
-           let g1 = Gc.quick_stat () in
-           {
-             sb_name = name;
-             sb_events = engine_events snap;
-             sb_wall = Unix.gettimeofday () -. c0;
-             sb_minor = Gc.minor_words () -. m0;
-             sb_promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-           })
-         cells)
+let selfbench_sample f =
+  (* Gc.minor_words reads the allocation pointer exactly; quick_stat's
+     copy lags until the next minor collection *)
+  let c0 = Unix.gettimeofday () and m0 = Gc.minor_words () in
+  let g0 = Gc.quick_stat () in
+  let c1 = ref c0 and m1 = ref m0 in
+  let on_start _ =
+    c1 := Unix.gettimeofday ();
+    m1 := Gc.minor_words ()
   in
-  (Unix.gettimeofday () -. t0, rows)
+  let snap = f ~on_start in
+  let c2 = Unix.gettimeofday () and m2 = Gc.minor_words () in
+  let g1 = Gc.quick_stat () in
+  {
+    sb_events = engine_events snap;
+    sb_setup_s = !c1 -. c0;
+    sb_run_s = c2 -. !c1;
+    sb_setup_minor = !m1 -. m0;
+    sb_run_minor = m2 -. !m1;
+    sb_promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words;
+  }
+
+(* [reps] rounds over every cell on [jobs] domains: the batch's wall
+   clock and, per cell, its samples in round order. *)
+let selfbench_run ~jobs ~reps cells =
+  let t0 = Unix.gettimeofday () in
+  let samples =
+    Runner.run ~jobs
+      (List.concat
+         (List.init reps (fun _ ->
+              List.map (fun (_, f) () -> selfbench_sample f) cells)))
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let n = List.length cells in
+  ( wall,
+    List.mapi
+      (fun c (name, _) ->
+        (name, List.filteri (fun i _ -> i mod n = c) samples))
+      cells )
+
+let min_median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let median =
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  (a.(0), median)
 
 let selfbench ~quick ?jobs () =
   header "Selfbench: harness wall-clock speed, sequential vs parallel";
   let cells = selfbench_cells ~quick in
+  let reps = selfbench_reps ~quick in
   let jobs = match jobs with Some j -> j | None -> Runner.default_jobs () in
-  let seq_wall, seq_rows = selfbench_run ~jobs:1 cells in
-  let par_wall, par_rows = selfbench_run ~jobs cells in
-  let events rows = List.fold_left (fun acc r -> acc + r.sb_events) 0 rows in
-  let total_events = events seq_rows in
-  (* a free determinism check: both runs simulated the same events *)
-  if events par_rows <> total_events then
+  let seq_wall, seq_cells = selfbench_run ~jobs:1 ~reps cells in
+  let par_wall, par_cells = selfbench_run ~jobs ~reps cells in
+  (* a free determinism check: every execution of a cell simulates the
+     same events, sequential or on the pool *)
+  let events_of (name, samples) =
+    match List.sort_uniq compare (List.map (fun s -> s.sb_events) samples) with
+    | [ e ] -> e
+    | _ -> failwith ("selfbench: " ^ name ^ " simulated different event counts")
+  in
+  let events = List.map events_of seq_cells in
+  if List.map events_of par_cells <> events then
     failwith "selfbench: parallel run simulated a different event count";
-  let rate wall = float_of_int total_events /. wall in
-  pf "%-28s %12s %12s %14s %12s@." "cell" "events" "wall (s)" "minor w/ev"
-    "promoted w/ev";
+  let total_events = List.fold_left ( + ) 0 events in
+  let rate wall = float_of_int (reps * total_events) /. wall in
+  pf "%d rounds; set-up and run wall clock in ms, min / median@." reps;
+  pf "%-24s %8s %15s %15s %10s %9s %9s@." "cell" "events" "setup ms"
+    "run ms" "setup Mw" "run w/ev" "prom w/ev";
   rule ();
-  List.iter
-    (fun r ->
-      let per v = if r.sb_events > 0 then v /. float_of_int r.sb_events else 0. in
-      pf "%-28s %12d %12.3f %14.1f %12.2f@." r.sb_name r.sb_events r.sb_wall
-        (per r.sb_minor) (per r.sb_promoted))
-    seq_rows;
+  let rows =
+    List.map2
+      (fun (name, samples) events ->
+        let stat field = min_median (List.map field samples) in
+        let per v = if events > 0 then v /. float_of_int events else 0. in
+        let setup = stat (fun s -> s.sb_setup_s)
+        and run = stat (fun s -> s.sb_run_s)
+        and wall = stat (fun s -> s.sb_setup_s +. s.sb_run_s)
+        and setup_minor = snd (stat (fun s -> s.sb_setup_minor))
+        and run_minor = snd (stat (fun s -> s.sb_run_minor))
+        and promoted = snd (stat (fun s -> s.sb_promoted)) in
+        pf "%-24s %8d %7.2f/%7.2f %7.2f/%7.2f %10.3f %9.1f %9.2f@." name events
+          (1e3 *. fst setup) (1e3 *. snd setup) (1e3 *. fst run)
+          (1e3 *. snd run) (setup_minor /. 1e6) (per run_minor) (per promoted);
+        let pair (lo, med) = [ Json.Float lo; Json.Float med ] in
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("events", Json.Int events);
+            ("wall_s", Json.List (pair wall));
+            ("setup_s", Json.List (pair setup));
+            ("run_s", Json.List (pair run));
+            ("setup_minor_words", Json.Float setup_minor);
+            ("run_minor_words", Json.Float run_minor);
+            ("run_minor_words_per_event", Json.Float (per run_minor));
+            ("promoted_words_per_event", Json.Float (per promoted));
+          ])
+      seq_cells events
+  in
   rule ();
   let cores = Runner.default_jobs () in
   let speedup = seq_wall /. par_wall in
@@ -753,38 +819,25 @@ let selfbench ~quick ?jobs () =
     (rate par_wall);
   pf "speedup %.2fx with %d jobs (%d recommended domains on this host)@."
     speedup jobs cores;
-  let cell_json r =
-    Json.Obj
-      [
-        ("name", Json.String r.sb_name);
-        ("events", Json.Int r.sb_events);
-        ("wall_s", Json.Float r.sb_wall);
-        ("minor_words", Json.Float r.sb_minor);
-        ("promoted_words", Json.Float r.sb_promoted);
-        ( "minor_words_per_event",
-          Json.Float
-            (if r.sb_events > 0 then r.sb_minor /. float_of_int r.sb_events
-             else 0.) );
-      ]
-  in
-  let run_json ~jobs ~wall rows =
+  let run_json ~jobs ~wall =
     Json.Obj
       [
         ("jobs", Json.Int jobs);
         ("wall_s", Json.Float wall);
         ("events_per_s", Json.Float (rate wall));
-        ("cells", Json.List (List.map cell_json rows));
       ]
   in
   let json =
     Json.Obj
       [
-        ("schema", Json.String "asvm.selfbench/v1");
+        ("schema", Json.String "asvm.selfbench/v2");
         ("quick", Json.Bool quick);
         ("cores", Json.Int cores);
+        ("rounds", Json.Int reps);
         ("total_events", Json.Int total_events);
-        ("sequential", run_json ~jobs:1 ~wall:seq_wall seq_rows);
-        ("parallel", run_json ~jobs ~wall:par_wall par_rows);
+        ("cells", Json.List rows);
+        ("sequential", run_json ~jobs:1 ~wall:seq_wall);
+        ("parallel", run_json ~jobs ~wall:par_wall);
         ("speedup", Json.Float speedup);
       ]
   in

@@ -19,13 +19,35 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
+echo "== heap repeatability (no mark-stack compression)"
+# perfbench rejects a run whose heap_peak_mb differs between
+# repetitions of one input.  OCaml 5.1 compresses the major GC's mark
+# stack once it exceeds 1/32 of the major heap, and what it compresses
+# depends on memory addresses, so under address-space randomisation the
+# peak then varies by one 32 KB pool from run to run.  The benchmark's
+# workloads never compress today; a change that makes one compress (for
+# example by shrinking the heap under a large mark stack) fails here,
+# in the development build, instead of as a flaky benchmark run.
+gclog=$(mktemp)
+for workload in "paper-cells" "em3d-32 --seed 42" "serve-asvm-64 --seed 42"; do
+  # $workload is unquoted on purpose: it carries the options
+  OCAMLRUNPARAM=v=0x0FFF _build/default/perfbench/perfbench.exe \
+    --workload $workload >/dev/null 2>"$gclog"
+  if grep -q Compressing "$gclog"; then
+    echo "perfbench --workload $workload: the GC compressed its mark stack" >&2
+    rm -f "$gclog"
+    exit 1
+  fi
+done
+rm -f "$gclog"
+
 echo "== selfbench smoke (--quick, 2 jobs)"
 # selfbench parses the file back through Asvm_obs.Json before exiting,
 # so a zero exit already means well-formed JSON; re-check the schema
 # tag here so a stale file can't satisfy this step
 dune exec bin/asvm_sim.exe -- bench --quick selfbench --jobs 2
 test -s BENCH_selfbench.json
-head -c 64 BENCH_selfbench.json | grep -q '"schema":"asvm.selfbench/v1"'
+head -c 64 BENCH_selfbench.json | grep -q '"schema":"asvm.selfbench/v2"'
 
 echo "== pagestore smoke (--quick)"
 # the pagestore bench exits nonzero when the COW store is under 1.3x

@@ -1,5 +1,7 @@
 module Engine = Asvm_simcore.Engine
 module Stats = Asvm_simcore.Stats
+module Int_tbl = Asvm_simcore.Int_tbl
+module Pair_tbl = Asvm_simcore.Pair_tbl
 module Network = Asvm_mesh.Network
 module Sts = Asvm_sts.Sts
 module Vm = Asvm_machvm.Vm
@@ -232,23 +234,23 @@ type inst = {
   i_shadow : (Ids.obj_id * int) option;
   mutable i_version : int;
   mutable i_copies : (Ids.obj_id * int) list;
-  i_pages : (int, pstate) Hashtbl.t;
+  i_pages : pstate Int_tbl.t;
   i_dyn : int Hint_cache.t;
   i_static : shint Hint_cache.t;
   i_seen : Bytes.t;  (** static-manager role: page ever had an owner *)
   mutable i_pageout_counter : int;
   mutable i_last_acceptor : int option;
-  i_push_ops : (int, push_op) Hashtbl.t;
+  i_push_ops : push_op Int_tbl.t;
   (* continuations waiting for a boolean answer (reader query, transfer
      offer), keyed by page *)
-  i_answers : (int, bool -> unit) Hashtbl.t;
+  i_answers : (bool -> unit) Int_tbl.t;
   (* pages this node has its own fault request in flight for (value =
      time the fault fired, feeding the latency histogram, and the fault
      generation — bumped by crash-recovery re-drives); foreign requests
      arriving meanwhile park here until ownership lands *)
-  i_outstanding : (int, float * int) Hashtbl.t;
+  i_outstanding : (float * int) Int_tbl.t;
   mutable i_next_gen : int;
-  i_waiting_inbound : (int, request Queue.t) Hashtbl.t;
+  i_waiting_inbound : request Queue.t Int_tbl.t;
   (* answers this node owes for delivered-but-not-yet-answered messages
      (invalidations, push locks, pager offers: anything whose reply
      waits on an async kernel call or a receive-buffer credit).  If the
@@ -258,14 +260,14 @@ type inst = {
   (* pager-node role: page -> (node, fault generation) the pager last
      granted the page to; serializes simultaneous cold faults on one
      page (single-owner) *)
-  i_granted : (int, int * int) Hashtbl.t;
+  i_granted : (int * int) Int_tbl.t;
   (* pager-node role: page -> evicting node whose dirty contents are
      still in flight (between [A_pager_grant] and [A_to_pager]).  A
      lookup for such a page must wait for the contents: supplying from
      the store inside the window would hand out the stale pre-eviction
      image — and the pageout's arrival would then wipe the grant-table
      entry, letting a later lookup mint a second owner. *)
-  i_pageouts : (int, int) Hashtbl.t;
+  i_pageouts : int Int_tbl.t;
   (* owner role: bumped at every read grant, invalidation round and
      reader query, so a reader can order them (the [stamp] fields) *)
   mutable i_stamp : int;
@@ -274,7 +276,7 @@ type inst = {
      for the page was in flight.  A read grant the same owner sent
      before it (lower stamp) and that arrives after it was revoked on
      the wire: installing it would leave a copy no reader list covers. *)
-  i_revoked : (int, int * int) Hashtbl.t;
+  i_revoked : (int * int) Int_tbl.t;
   mutable i_copy_acks : int;
   mutable i_copy_k : unit -> unit;
 }
@@ -303,7 +305,7 @@ type t = {
   vms : Vm.t array;
   wpp : int;
   config : config;
-  insts : (int * Ids.obj_id, inst) Hashtbl.t;
+  insts : inst Pair_tbl.t;  (* (node, obj) -> instance *)
   metrics : Metrics.Registry.t;
   handles : handles;
   trace : Trace.t option;
@@ -321,7 +323,7 @@ let sts_retransmits t = Sts.retransmits t.sts
 let buffers_reserved t ~node = Sts.buffers_reserved t.sts ~node
 
 let inst t node obj =
-  match Hashtbl.find_opt t.insts (node, obj) with
+  match Pair_tbl.find_opt t.insts (node, obj) with
   | Some i -> i
   | None ->
     failwith (Printf.sprintf "Asvm: no instance of obj#%d on node %d" obj node)
@@ -680,10 +682,10 @@ let request_stale t req =
   || Network.incarnation t.net req.r_origin <> req.r_origin_inc
   || (req.r_kind = K_fault && req.r_gen >= 0
      &&
-     match Hashtbl.find_opt t.insts (req.r_origin, req.r_origin_obj) with
+     match Pair_tbl.find_opt t.insts (req.r_origin, req.r_origin_obj) with
      | None -> true
      | Some oi -> (
-       match Hashtbl.find_opt oi.i_outstanding req.r_page with
+       match Int_tbl.find_opt oi.i_outstanding req.r_page with
        | Some (_, g) -> g <> req.r_gen
        | None -> true))
 
@@ -718,7 +720,7 @@ let fault_request t ~node ~obj ~page ~want ~upgrade ~gen =
 let parkable_gen i node req =
   if req.r_kind <> K_fault || req.r_origin = node || req.r_ring >= 0 then -1
   else
-    match Hashtbl.find_opt i.i_outstanding req.r_page with
+    match Int_tbl.find_opt i.i_outstanding req.r_page with
     | Some (_, gen) -> gen
     | None -> -1
 
@@ -728,11 +730,11 @@ let parkable_gen i node req =
    acyclic without a timer (DESIGN.md, section 7). *)
 let park_request t node i req =
   let q =
-    match Hashtbl.find_opt i.i_waiting_inbound req.r_page with
+    match Int_tbl.find_opt i.i_waiting_inbound req.r_page with
     | Some q -> q
     | None ->
       let q = Queue.create () in
-      Hashtbl.add i.i_waiting_inbound req.r_page q;
+      Int_tbl.add i.i_waiting_inbound req.r_page q;
       q
   in
   note_request t ~node ~category:"asvm.park" req;
@@ -755,7 +757,7 @@ let rec route_request t node req =
   if request_stale t req then drop_stale t node req
   else
   let i = inst t node req.r_obj in
-  match Hashtbl.find_opt i.i_pages req.r_page with
+  match Int_tbl.find_opt i.i_pages req.r_page with
   | Some ps -> owner_handle t node i ps req
   | None ->
     let gen = parkable_gen i node req in
@@ -875,12 +877,12 @@ and end_of_search t node i req =
 (* Executed on the pager's node. *)
 and pager_lookup t node i req =
   let awaiting_pageout =
-    match Hashtbl.find_opt i.i_pageouts req.r_page with
+    match Int_tbl.find_opt i.i_pageouts req.r_page with
     | Some evictor when not (Network.is_down t.net evictor) -> true
     | Some _ ->
       (* the evictor died inside the window; its contents either died
          with it or dead-letter into the store — stop waiting *)
-      Hashtbl.remove i.i_pageouts req.r_page;
+      Int_tbl.remove i.i_pageouts req.r_page;
       false
     | None -> false
   in
@@ -891,7 +893,7 @@ and pager_lookup t node i req =
         if not (request_stale t req) then pager_lookup t node i req)
   else
   let chase =
-    match Hashtbl.find_opt i.i_granted req.r_page with
+    match Int_tbl.find_opt i.i_granted req.r_page with
     | Some (holder, _) as granted
       when req.r_kind <> K_push_scan && holder <> req.r_origin
            && not (Network.is_down t.net holder) ->
@@ -927,7 +929,7 @@ and pager_lookup t node i req =
            { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = true })
     | K_fault | K_pull ->
       count t c_pager_supply;
-      Hashtbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
+      Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
       Store_pager.request (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page ~words:t.wpp
         (fun contents ->
           update_static t i ~page:req.r_page
@@ -975,7 +977,7 @@ and conclude_fresh t node i req =
   | K_fault | K_pull ->
     count t c_zero_grant;
     if node = Store_pager.node (pager_of i req.r_page) then
-      Hashtbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
+      Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
     update_static t i ~page:req.r_page
       ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
     send t ~src:node ~dst:req.r_origin
@@ -1210,7 +1212,7 @@ and finish_owner_op t node i ps page ~moved_to =
     | None -> ()
   end
   else begin
-    Hashtbl.remove i.i_pages page;
+    Int_tbl.remove i.i_pages page;
     let forward req =
       match moved_to with
       | Some target ->
@@ -1268,7 +1270,7 @@ and run_push_if_needed t node i ps page k =
             ps.p_version <- i.i_version;
             ps.p_pushing <- false;
             k ()));
-    Hashtbl.replace i.i_push_ops page op;
+    Int_tbl.replace i.i_push_ops page op;
     (* our own node's local copy chain *)
     Vm.lock_request vm ~obj:i.i_obj ~page
       ~op:{ Emmi.max_access = Prot.Read_only; clean = false; mode = Emmi.Lock_push_first }
@@ -1305,12 +1307,12 @@ and run_push_if_needed t node i ps page k =
   end
 
 and push_op_done i ~page =
-  match Hashtbl.find_opt i.i_push_ops page with
+  match Int_tbl.find_opt i.i_push_ops page with
   | None -> ()
   | Some op ->
     op.o_outstanding <- op.o_outstanding - 1;
     if op.o_outstanding <= 0 then begin
-      Hashtbl.remove i.i_push_ops page;
+      Int_tbl.remove i.i_push_ops page;
       op.o_k ()
     end
 
@@ -1331,7 +1333,7 @@ and push_phase_two t node i ~page ~contents op k =
         o_k = k;
       }
     in
-    Hashtbl.replace i.i_push_ops page op2;
+    Int_tbl.replace i.i_push_ops page op2;
     List.iter
       (fun target ->
         send t ~src:node ~dst:target ~carries_page:true
@@ -1359,7 +1361,7 @@ and query_readers t node i ps ~page ~contents ~dirty readers =
   match readers with
   | r :: rest ->
     ps.p_readers <- rest;
-    Hashtbl.replace i.i_answers page (fun accepted ->
+    Int_tbl.replace i.i_answers page (fun accepted ->
         if accepted then begin
           count t c_reader_handoff;
           Hint_cache.put i.i_dyn ~page r;
@@ -1400,7 +1402,7 @@ and offer_transfer t node i ps ~page ~contents ~dirty =
   let try_candidate target ~fallback =
     if target = node then fallback ()
     else begin
-      Hashtbl.replace i.i_answers page (fun accepted ->
+      Int_tbl.replace i.i_answers page (fun accepted ->
           if accepted then begin
             count t c_internode_pageout;
             i.i_last_acceptor <- Some target;
@@ -1436,7 +1438,7 @@ and pageout_to_pager t node i ps ~page ~contents ~dirty =
     conclude ()
   end
   else begin
-    Hashtbl.replace i.i_answers page (fun _granted ->
+    Int_tbl.replace i.i_answers page (fun _granted ->
         send t ~src:node ~dst:pnode ~carries_page:true
           (A_to_pager { obj = i.i_obj; page; contents = Some contents });
         conclude ());
@@ -1450,7 +1452,7 @@ and pageout_to_pager t node i ps ~page ~contents ~dirty =
 (* Ship a dirty page to the object's pager from outside an owner op
    (fallback paths), honouring the buffer handshake. *)
 let pager_store_handshake t node i ~page ~contents =
-  Hashtbl.replace i.i_answers page (fun _granted ->
+  Int_tbl.replace i.i_answers page (fun _granted ->
       send t ~src:node
         ~dst:(Store_pager.node (pager_of i page))
         ~carries_page:true
@@ -1466,7 +1468,7 @@ let pager_store_handshake t node i ~page ~contents =
 let install_owner t node i ~page ~readers ~version ~dirty ~static_updated =
   let ps = new_pstate ~version in
   ps.p_readers <- readers;
-  Hashtbl.replace i.i_pages page ps;
+  Int_tbl.replace i.i_pages page ps;
   if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
   Hint_cache.remove i.i_dyn ~page;
   trace_ownership t ~obj:i.i_obj ~page ~owner:node;
@@ -1476,10 +1478,10 @@ let install_owner t node i ~page ~readers ~version ~dirty ~static_updated =
 (* Requests that parked here while our own fault was in flight are
    re-routed once ownership (and the frame) have landed. *)
 let drain_inbound t node i page =
-  match Hashtbl.find_opt i.i_waiting_inbound page with
+  match Int_tbl.find_opt i.i_waiting_inbound page with
   | None -> ()
   | Some q ->
-    Hashtbl.remove i.i_waiting_inbound page;
+    Int_tbl.remove i.i_waiting_inbound page;
     let vm = t.vms.(node) in
     let delay = 2. *. (Vm.config vm).Asvm_machvm.Vm_config.emmi_call_ms in
     Queue.iter
@@ -1490,7 +1492,7 @@ let drain_inbound t node i page =
    fault was in crash recovery (re-driven after a dead letter or a
    rejoin), also sample the recovery-latency histogram. *)
 let observe_fault_latency t i ~page ~ownership =
-  (match Hashtbl.find_opt i.i_outstanding page with
+  (match Int_tbl.find_opt i.i_outstanding page with
   | None -> ()
   | Some (t0, _gen) ->
     Metrics.Histogram.observe
@@ -1513,14 +1515,14 @@ let handle_reply t node
        reservation, so the stale answer must not consume it *)
     gen >= 0
     &&
-    match Hashtbl.find_opt i.i_outstanding page with
+    match Int_tbl.find_opt i.i_outstanding page with
     | Some (_, g) -> g <> gen
     | None -> true
   in
   let revoked =
     (not owner)
     &&
-    match Hashtbl.find_opt i.i_revoked page with
+    match Int_tbl.find_opt i.i_revoked page with
     | Some (revoker, s) -> revoker = from && stamp < s
     | None -> false
   in
@@ -1530,7 +1532,7 @@ let handle_reply t node
        (or reader query): the owner no longer lists this node, so the
        copy is dropped and the fault asks again, keeping its generation
        and its receive-buffer reservation *)
-    Hashtbl.remove i.i_revoked page;
+    Int_tbl.remove i.i_revoked page;
     count t c_revoked_read;
     let req =
       fault_request t ~node ~obj:origin_obj ~page ~want:grant ~upgrade:false
@@ -1542,8 +1544,8 @@ let handle_reply t node
   else begin
   Sts.release_buffer t.sts ~node;
   observe_fault_latency t i ~page ~ownership:owner;
-  Hashtbl.remove i.i_outstanding page;
-  Hashtbl.remove i.i_revoked page;
+  Int_tbl.remove i.i_outstanding page;
+  Int_tbl.remove i.i_revoked page;
   let vm = t.vms.(node) in
   let c = match contents with Some c -> c | None -> zero t in
   (* A write grant that did not come from a previous owner (pager
@@ -1589,7 +1591,7 @@ let rec handle t node msg =
     let stale =
       gen >= 0
       &&
-      match Hashtbl.find_opt i.i_outstanding page with
+      match Int_tbl.find_opt i.i_outstanding page with
       | Some (_, g) -> g <> gen
       | None -> true
     in
@@ -1597,8 +1599,8 @@ let rec handle t node msg =
     else begin
       Sts.release_buffer t.sts ~node;
       observe_fault_latency t i ~page ~ownership:true;
-      Hashtbl.remove i.i_outstanding page;
-      Hashtbl.remove i.i_revoked page;
+      Int_tbl.remove i.i_outstanding page;
+      Int_tbl.remove i.i_revoked page;
       if Vm.is_resident t.vms.(node) ~obj ~page then begin
         Vm.lock_request t.vms.(node) ~obj ~page
           ~op:{ Emmi.max_access = Prot.Read_write; clean = false; mode = Emmi.Lock_plain }
@@ -1620,8 +1622,8 @@ let rec handle t node msg =
        as owed so a crash inside the window still acknowledges (the
        crashed node holds no copy either way). *)
     let i = inst t node obj in
-    if Hashtbl.mem i.i_outstanding page then
-      Hashtbl.replace i.i_revoked page (from, stamp);
+    if Int_tbl.mem i.i_outstanding page then
+      Int_tbl.replace i.i_revoked page (from, stamp);
     let owed = (from, A_inval_ack { obj; page }) in
     i.i_owed_acks <- owed :: i.i_owed_acks;
     let inc = Network.incarnation t.net node in
@@ -1638,7 +1640,7 @@ let rec handle t node msg =
         end)
   | A_inval_ack { obj; page } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_pages page with
+    match Int_tbl.find_opt i.i_pages page with
     | Some ps ->
       ps.p_acks <- ps.p_acks - 1;
       if ps.p_acks <= 0 then begin
@@ -1667,20 +1669,20 @@ let rec handle t node msg =
        would hold a copy invalidations can no longer reach. *)
     if
       Vm.is_resident vm ~obj ~page
-      && not (Hashtbl.mem i.i_outstanding page)
+      && not (Int_tbl.mem i.i_outstanding page)
     then begin
       (* accept ownership without a page transfer (step 2) *)
       if dirty then Vm.set_frame_dirty vm ~obj ~page;
       let ps = new_pstate ~version in
       ps.p_readers <- List.filter (fun r -> r <> node) rest;
-      Hashtbl.replace i.i_pages page ps;
+      Int_tbl.replace i.i_pages page ps;
       Hint_cache.remove i.i_dyn ~page;
       update_static t i ~page ~hint:(S_at { owner = node; gen = -1 });
       send t ~src:node ~dst:from (A_reader_answer { obj; page; from = node; accepted = true })
     end
     else begin
-      if Hashtbl.mem i.i_outstanding page then
-        Hashtbl.replace i.i_revoked page (from, stamp);
+      if Int_tbl.mem i.i_outstanding page then
+        Int_tbl.replace i.i_revoked page (from, stamp);
       if Vm.is_resident vm ~obj ~page then
         Vm.lock_request vm ~obj ~page
           ~op:
@@ -1695,9 +1697,9 @@ let rec handle t node msg =
     end
   | A_reader_answer { obj; page; from = _; accepted } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_answers page with
+    match Int_tbl.find_opt i.i_answers page with
     | Some k ->
-      Hashtbl.remove i.i_answers page;
+      Int_tbl.remove i.i_answers page;
       k accepted
     | None -> ())
   | A_transfer_offer { obj; page; from } ->
@@ -1716,9 +1718,9 @@ let rec handle t node msg =
     send t ~src:node ~dst:from (A_transfer_answer { obj; page; from = node; accepted })
   | A_transfer_answer { obj; page; from = _; accepted } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_answers page with
+    match Int_tbl.find_opt i.i_answers page with
     | Some k ->
-      Hashtbl.remove i.i_answers page;
+      Int_tbl.remove i.i_answers page;
       k accepted
     | None -> ())
   | A_transfer_page { obj; page; contents; dirty; version } ->
@@ -1729,7 +1731,7 @@ let rec handle t node msg =
       Vm.try_accept_page vm ~obj ~page ~contents ~dirty ~access:Prot.Read_only
     then begin
       let ps = new_pstate ~version in
-      Hashtbl.replace i.i_pages page ps;
+      Int_tbl.replace i.i_pages page ps;
       Hint_cache.remove i.i_dyn ~page;
       update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
     end
@@ -1751,19 +1753,19 @@ let rec handle t node msg =
     i.i_owed_acks <- owed :: i.i_owed_acks;
     Sts.acquire_buffer t.sts ~node (fun () ->
         i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-        Hashtbl.replace i.i_pageouts page from;
+        Int_tbl.replace i.i_pageouts page from;
         send t ~src:node ~dst:from (A_pager_grant { obj; page }))
   | A_pager_grant { obj; page } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_answers page with
+    match Int_tbl.find_opt i.i_answers page with
     | Some k ->
-      Hashtbl.remove i.i_answers page;
+      Int_tbl.remove i.i_answers page;
       k true
     | None -> ())
   | A_to_pager { obj; page; contents } -> (
     let i = inst t node obj in
-    Hashtbl.remove i.i_granted page;
-    Hashtbl.remove i.i_pageouts page;
+    Int_tbl.remove i.i_granted page;
+    Int_tbl.remove i.i_pageouts page;
     match contents with
     | Some c ->
       Sts.release_buffer t.sts ~node;
@@ -1819,12 +1821,12 @@ let rec handle t node msg =
         end)
   | A_push_lock_done { obj; page; from; needs_contents } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_push_ops page with
+    match Int_tbl.find_opt i.i_push_ops page with
     | Some op ->
       if needs_contents then op.o_need_nodes <- from :: op.o_need_nodes;
       op.o_outstanding <- op.o_outstanding - 1;
       if op.o_outstanding <= 0 then begin
-        Hashtbl.remove i.i_push_ops page;
+        Int_tbl.remove i.i_push_ops page;
         op.o_k ()
       end
     | None -> ())
@@ -1846,7 +1848,7 @@ let rec handle t node msg =
         send t ~src:node ~dst:from (A_push_ready { copy; home; page }))
   | A_push_ready { copy; home; page } -> (
     let i = inst t node home in
-    match Hashtbl.find_opt i.i_push_ops page with
+    match Int_tbl.find_opt i.i_push_ops page with
     | Some op -> (
       match op.o_contents with
       | Some contents ->
@@ -1868,7 +1870,7 @@ let rec handle t node msg =
         ~access:Prot.Read_only
     then begin
       let ps = new_pstate ~version:0 in
-      Hashtbl.replace i.i_pages page ps;
+      Int_tbl.replace i.i_pages page ps;
       update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
     end
     else
@@ -1877,7 +1879,7 @@ let rec handle t node msg =
     send t ~src:node ~dst:from (A_push_ack { home; page })
   | A_scan_answer { home; page; copy; found } -> (
     let i = inst t node home in
-    match Hashtbl.find_opt i.i_push_ops page with
+    match Int_tbl.find_opt i.i_push_ops page with
     | Some op ->
       if not found then begin
         let peer =
@@ -1887,7 +1889,7 @@ let rec handle t node msg =
       end;
       op.o_outstanding <- op.o_outstanding - 1;
       if op.o_outstanding <= 0 then begin
-        Hashtbl.remove i.i_push_ops page;
+        Int_tbl.remove i.i_push_ops page;
         op.o_k ()
       end
     | None -> ())
@@ -1961,7 +1963,7 @@ and handle_pull t node req =
 let set_static_hint t i ~page ~hint =
   let sm = static_mgr i page in
   if not (Network.is_down t.net sm) then
-    match Hashtbl.find_opt t.insts (sm, i.i_obj) with
+    match Pair_tbl.find_opt t.insts (sm, i.i_obj) with
     | None -> ()
     | Some mi ->
       Hint_cache.put mi.i_static ~page hint;
@@ -1976,11 +1978,11 @@ let set_static_hint t i ~page ~hint =
    the next lookup mints a second owner. *)
 let purge_granted ?holder t i ~page =
   let pnode = Store_pager.node (pager_of i page) in
-  match Hashtbl.find_opt t.insts (pnode, i.i_obj) with
+  match Pair_tbl.find_opt t.insts (pnode, i.i_obj) with
   | Some pi -> (
-    match (Hashtbl.find_opt pi.i_granted page, holder) with
+    match (Int_tbl.find_opt pi.i_granted page, holder) with
     | Some (h, _), Some dead when h <> dead -> ()
-    | Some _, _ -> Hashtbl.remove pi.i_granted page
+    | Some _, _ -> Int_tbl.remove pi.i_granted page
     | None, _ -> ())
   | None -> ()
 
@@ -1998,17 +2000,17 @@ let redrive_fault t req =
     || Network.incarnation t.net origin <> req.r_origin_inc
   then ()
   else
-    match Hashtbl.find_opt t.insts (origin, req.r_origin_obj) with
+    match Pair_tbl.find_opt t.insts (origin, req.r_origin_obj) with
     | None -> ()
     | Some oi -> (
       let gen =
         if req.r_gen < 0 then Some (-1)
         else
-          match Hashtbl.find_opt oi.i_outstanding req.r_page with
+          match Int_tbl.find_opt oi.i_outstanding req.r_page with
           | Some (t0, g) when g = req.r_gen ->
             let g' = oi.i_next_gen in
             oi.i_next_gen <- g' + 1;
-            Hashtbl.replace oi.i_outstanding req.r_page (t0, g');
+            Int_tbl.replace oi.i_outstanding req.r_page (t0, g');
             Some g'
           | Some _ | None -> None
       in
@@ -2063,7 +2065,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
     | msg -> handle t dst msg
   end
   else
-    let inst_opt obj = Hashtbl.find_opt t.insts (dst, obj) in
+    let inst_opt obj = Pair_tbl.find_opt t.insts (dst, obj) in
     match msg with
     | A_request req | A_pager_lookup req | A_pull req ->
       if req.r_kind = K_push_scan then
@@ -2143,8 +2145,8 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
          and lookups would wait forever on the pageout it announced *)
       if not (Network.is_down t.net src) then begin
         Sts.release_buffer t.sts ~node:src;
-        match Hashtbl.find_opt t.insts (src, obj) with
-        | Some pi -> Hashtbl.remove pi.i_pageouts page
+        match Pair_tbl.find_opt t.insts (src, obj) with
+        | Some pi -> Int_tbl.remove pi.i_pageouts page
         | None -> ()
       end
     | A_to_pager { obj; page; contents } -> (
@@ -2201,7 +2203,7 @@ let create ~net ~(config : config) ~vms ~words_per_page ?metrics ?trace () =
       vms;
       wpp = words_per_page;
       config;
-      insts = Hashtbl.create 64;
+      insts = Pair_tbl.create 64;
       metrics;
       handles = make_handles metrics;
       trace;
@@ -2226,22 +2228,22 @@ let make_inst t ~node ~obj ~size_pages ~sharers ~pagers ~fwd ~shadow =
     i_shadow = shadow;
     i_version = 0;
     i_copies = [];
-    i_pages = Hashtbl.create 32;
+    i_pages = Int_tbl.create 32;
     i_dyn = Hint_cache.create ~capacity:t.config.dynamic_cache_pages;
     i_static = Hint_cache.create ~capacity:t.config.static_cache_pages;
     i_seen = Bytes.make size_pages '\000';
     i_pageout_counter = 0;
     i_last_acceptor = None;
-    i_push_ops = Hashtbl.create 8;
-    i_answers = Hashtbl.create 8;
-    i_outstanding = Hashtbl.create 8;
+    i_push_ops = Int_tbl.create 8;
+    i_answers = Int_tbl.create 8;
+    i_outstanding = Int_tbl.create 8;
     i_next_gen = 0;
-    i_waiting_inbound = Hashtbl.create 8;
+    i_waiting_inbound = Int_tbl.create 8;
     i_owed_acks = [];
-    i_granted = Hashtbl.create 8;
-    i_pageouts = Hashtbl.create 8;
+    i_granted = Int_tbl.create 8;
+    i_pageouts = Int_tbl.create 8;
     i_stamp = 0;
-    i_revoked = Hashtbl.create 8;
+    i_revoked = Int_tbl.create 8;
     i_copy_acks = 0;
     i_copy_k = ignore;
   }
@@ -2261,7 +2263,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
   let nodes = sharers @ pager_nodes in
   List.iter
     (fun node ->
-      Hashtbl.replace t.insts (node, obj)
+      Pair_tbl.replace t.insts (node, obj)
         (make_inst t ~node ~obj ~size_pages ~sharers ~pagers ~fwd ~shadow))
     nodes;
   (* EMMI manager proxy for each sharer's kernel *)
@@ -2275,7 +2277,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
             (fault_request t ~node ~obj ~page ~want:desired ~upgrade ~gen)
         in
         let i = inst t node obj in
-        match Hashtbl.find_opt i.i_pages page with
+        match Int_tbl.find_opt i.i_pages page with
         | Some _ when upgrade ->
           (* self-owned upgrade: run the owner machine locally. The
              reservation covers the case where the request queues behind
@@ -2286,7 +2288,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
              current owner state here, or off-node. *)
           Sts.acquire_buffer t.sts ~node (fun () -> fire (-1))
         | _ ->
-          if Hashtbl.mem i.i_outstanding page then
+          if Int_tbl.mem i.i_outstanding page then
             (* one request per page at a time: a second kernel request
                (e.g. a write upgrade behind a read fault) is answered by
                the kernel's own retry after the first reply lands — a
@@ -2298,7 +2300,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
                requests wait when the pool is exhausted (flow control) *)
             let gen = i.i_next_gen in
             i.i_next_gen <- gen + 1;
-            Hashtbl.replace i.i_outstanding page
+            Int_tbl.replace i.i_outstanding page
               (Engine.now (Vm.engine t.vms.(node)), gen);
             Sts.acquire_buffer t.sts ~node (fun () -> fire gen)
           end
@@ -2314,7 +2316,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
               if Network.is_down t.net node then ()
               else
                 let i = inst t node obj in
-                match Hashtbl.find_opt i.i_pages page with
+                match Int_tbl.find_opt i.i_pages page with
                 | None -> () (* not the owner: simply discard (step 1) *)
                 | Some ps -> handle_eviction t node i ps ~page ~contents ~dirty);
         }
@@ -2350,7 +2352,7 @@ let reelect t ~victim i ~page ~ps =
     let oi = inst t owner obj in
     let nps = new_pstate ~version:ps.p_version in
     nps.p_readers <- rest;
-    Hashtbl.replace oi.i_pages page nps;
+    Int_tbl.replace oi.i_pages page nps;
     Hint_cache.remove oi.i_dyn ~page;
     (* the survivor's copy may now be the only one anywhere: make sure
        an eviction writes it back instead of discarding it as clean *)
@@ -2373,7 +2375,7 @@ let crash_node t ~node =
   Sts.crash_node t.sts ~node;
   (* snapshot the victim's protocol instances *)
   let victims =
-    Hashtbl.fold
+    Pair_tbl.fold
       (fun (n, obj) i acc -> if n = node then (obj, i) :: acc else acc)
       t.insts []
   in
@@ -2385,9 +2387,9 @@ let crash_node t ~node =
   let park req = parked := req :: !parked in
   List.iter
     (fun (_obj, i) ->
-      Hashtbl.iter (fun _page q -> Queue.iter park q) i.i_waiting_inbound;
-      Hashtbl.clear i.i_waiting_inbound;
-      Hashtbl.iter
+      Int_tbl.iter (fun _page q -> Queue.iter park q) i.i_waiting_inbound;
+      Int_tbl.clear i.i_waiting_inbound;
+      Int_tbl.iter
         (fun _page ps ->
           (match ps.p_active with Some req -> park req | None -> ());
           Queue.iter park ps.p_queue;
@@ -2417,41 +2419,41 @@ let crash_node t ~node =
       fresh.i_version <- i.i_version;
       fresh.i_stamp <- i.i_stamp;
       fresh.i_copies <- i.i_copies;
-      Hashtbl.replace t.insts (node, obj) fresh)
+      Pair_tbl.replace t.insts (node, obj) fresh)
     victims;
   (* purge the victim from every survivor's reader lists and grant
      tables: hints are re-verified at use, but reader lists drive
      invalidation rounds that must not wait on a dead node *)
-  Hashtbl.iter
+  Pair_tbl.iter
     (fun (n, _obj) i ->
       if n <> node then begin
-        Hashtbl.iter
+        Int_tbl.iter
           (fun _page ps ->
             ps.p_readers <- List.filter (fun r -> r <> node) ps.p_readers)
           i.i_pages;
         let stale =
-          Hashtbl.fold
+          Int_tbl.fold
             (fun page (holder, _) acc ->
               if holder = node then page :: acc else acc)
             i.i_granted []
         in
-        List.iter (fun page -> Hashtbl.remove i.i_granted page) stale;
+        List.iter (fun page -> Int_tbl.remove i.i_granted page) stale;
         (* pending dirty pageouts from the victim will never arrive
            (or dead-letter straight into the store): stop holding
            lookups for them *)
         let stale_po =
-          Hashtbl.fold
+          Int_tbl.fold
             (fun page evictor acc ->
               if evictor = node then page :: acc else acc)
             i.i_pageouts []
         in
-        List.iter (fun page -> Hashtbl.remove i.i_pageouts page) stale_po
+        List.iter (fun page -> Int_tbl.remove i.i_pageouts page) stale_po
       end)
     t.insts;
   (* re-elect an owner for every page the victim owned *)
   List.iter
     (fun (_obj, i) ->
-      Hashtbl.iter (fun page ps -> reelect t ~victim:node i ~page ~ps) i.i_pages)
+      Int_tbl.iter (fun page ps -> reelect t ~victim:node i ~page ~ps) i.i_pages)
     victims;
   (* restart parked requests and deliver owed answers as fresh events *)
   let eng = Network.engine t.net in
@@ -2470,7 +2472,7 @@ let rejoin_node t ~node =
   List.iter
     (fun (obj, page) ->
       if
-        Hashtbl.mem t.insts (node, obj)
+        Pair_tbl.mem t.insts (node, obj)
         && not (Hashtbl.mem t.recovering (node, obj, page))
       then Hashtbl.replace t.recovering (node, obj, page) (now t))
     (Vm.pending_pages t.vms.(node));
@@ -2496,7 +2498,7 @@ let object_copied t ~src ~peer ~shared k =
 
 let hold_page t ~node ~obj ~page =
   let i = inst t node obj in
-  match Hashtbl.find_opt i.i_pages page with
+  match Int_tbl.find_opt i.i_pages page with
   | Some ps when not ps.p_busy ->
     ps.p_busy <- true;
     Vm.wire t.vms.(node) ~obj ~page;
@@ -2505,7 +2507,7 @@ let hold_page t ~node ~obj ~page =
 
 let release_page t ~node ~obj ~page =
   let i = inst t node obj in
-  match Hashtbl.find_opt i.i_pages page with
+  match Int_tbl.find_opt i.i_pages page with
   | Some ps when ps.p_busy ->
     (* stay owner; the owner-op epilogue drains queued requests *)
     finish_owner_op t node i ps page ~moved_to:(Some node)
@@ -2529,40 +2531,40 @@ let claim_residents t ~node ~obj =
   | Some o ->
     List.iter
       (fun page ->
-        if not (Hashtbl.mem i.i_pages page) then begin
-          Hashtbl.replace i.i_pages page (new_pstate ~version:i.i_version);
+        if not (Int_tbl.mem i.i_pages page) then begin
+          Int_tbl.replace i.i_pages page (new_pstate ~version:i.i_version);
           update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
         end)
       (Asvm_machvm.Vm_object.resident_pages o)
 
 let owner_entries t ~node ~obj =
-  match Hashtbl.find_opt t.insts (node, obj) with
-  | Some i -> Hashtbl.length i.i_pages
+  match Pair_tbl.find_opt t.insts (node, obj) with
+  | Some i -> Int_tbl.length i.i_pages
   | None -> 0
 
 (* rough per-entry sizes of the real structures: an owner entry is a
    reader list head + version + flags (~32 B); a hint is a page/node
    pair (~16 B); the seen bitmap is 1 bit per page *)
 let state_bytes t ~node ~obj =
-  match Hashtbl.find_opt t.insts (node, obj) with
+  match Pair_tbl.find_opt t.insts (node, obj) with
   | Some i ->
-    (32 * Hashtbl.length i.i_pages)
+    (32 * Int_tbl.length i.i_pages)
     + (16 * Hint_cache.size i.i_dyn)
     + (16 * Hint_cache.size i.i_static)
     + ((i.i_size + 7) / 8)
   | None -> 0
 
 let is_owner t ~node ~obj ~page =
-  match Hashtbl.find_opt t.insts (node, obj) with
-  | Some i -> Hashtbl.mem i.i_pages page
+  match Pair_tbl.find_opt t.insts (node, obj) with
+  | Some i -> Int_tbl.mem i.i_pages page
   | None -> false
 
 let readers t ~obj ~page =
   let found = ref None in
-  Hashtbl.iter
+  Pair_tbl.iter
     (fun (_node, o) i ->
       if o = obj then
-        match Hashtbl.find_opt i.i_pages page with
+        match Int_tbl.find_opt i.i_pages page with
         | Some ps -> found := Some ps.p_readers
         | None -> ())
     t.insts;
@@ -2573,7 +2575,7 @@ let check_invariants t =
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   (* group instances per object *)
   let objects = Hashtbl.create 32 in
-  Hashtbl.iter
+  Pair_tbl.iter
     (fun (node, obj) i ->
       let l = match Hashtbl.find_opt objects obj with Some l -> l | None -> [] in
       Hashtbl.replace objects obj ((node, i) :: l))
@@ -2583,7 +2585,7 @@ let check_invariants t =
       let owners_of page =
         List.filter_map
           (fun (node, i) ->
-            match Hashtbl.find_opt i.i_pages page with
+            match Int_tbl.find_opt i.i_pages page with
             | Some ps -> Some (node, ps)
             | None -> None)
           insts
@@ -2628,24 +2630,24 @@ let check_invariants t =
         (fun (node, i) ->
           for page = 0 to size - 1 do
             match Vm.frame_access t.vms.(node) ~obj ~page with
-            | Some Prot.Read_write when not (Hashtbl.mem i.i_pages page) ->
+            | Some Prot.Read_write when not (Int_tbl.mem i.i_pages page) ->
               bad "obj#%d page %d: node %d has write access without ownership"
                 obj page node
             | Some _ | None -> ()
           done;
-          Hashtbl.iter
+          Int_tbl.iter
             (fun page q ->
               bad
                 "obj#%d: node %d still parks %d foreign requests for page %d \
                  (outstanding=%b owner=%b resident=%b)"
                 obj node (Queue.length q) page
-                (Hashtbl.mem i.i_outstanding page)
-                (Hashtbl.mem i.i_pages page)
+                (Int_tbl.mem i.i_outstanding page)
+                (Int_tbl.mem i.i_pages page)
                 (Vm.is_resident t.vms.(node) ~obj ~page))
             i.i_waiting_inbound;
-          if Hashtbl.length i.i_push_ops > 0 then
+          if Int_tbl.length i.i_push_ops > 0 then
             bad "obj#%d: node %d has unfinished push operations" obj node;
-          if Hashtbl.length i.i_answers > 0 then
+          if Int_tbl.length i.i_answers > 0 then
             bad "obj#%d: node %d awaits unanswered queries" obj node)
         insts)
     objects;

@@ -1,3 +1,5 @@
+module Pair_tbl = Asvm_simcore.Pair_tbl
+
 type t = {
   store :
     obj:Ids.obj_id -> page:int -> contents:Contents.t -> k:(unit -> unit) -> unit;
@@ -6,15 +8,15 @@ type t = {
 }
 
 let in_memory () =
-  let table : (Ids.obj_id * int, Contents.t) Hashtbl.t = Hashtbl.create 64 in
+  let table : Contents.t Pair_tbl.t = Pair_tbl.create 64 in
   {
     store =
       (fun ~obj ~page ~contents ~k ->
-        Hashtbl.replace table (obj, page) (Contents.snapshot contents);
+        Pair_tbl.replace table (obj, page) (Contents.snapshot contents);
         k ());
     fetch =
       (fun ~obj ~page ~k ->
-        k (Option.map Contents.snapshot (Hashtbl.find_opt table (obj, page))));
+        k (Option.map Contents.snapshot (Pair_tbl.find_opt table (obj, page))));
   }
 
 let none =

@@ -1,4 +1,6 @@
 module Engine = Asvm_simcore.Engine
+module Int_tbl = Asvm_simcore.Int_tbl
+module Pair_tbl = Asvm_simcore.Pair_tbl
 
 type task_rec = { id : Ids.task_id; amap : Address_map.t; pmap : Pmap.t }
 
@@ -17,13 +19,13 @@ type t = {
   config : Vm_config.t;
   backing : Backing.t;
   ids : Ids.Alloc.t;
-  objects : (Ids.obj_id, Vm_object.t) Hashtbl.t;
-  tasks : (Ids.task_id, task_rec) Hashtbl.t;
+  objects : Vm_object.t Int_tbl.t;
+  tasks : task_rec Int_tbl.t;
   (* (object, page) -> set of (task, vpage) translations backed by it *)
-  reverse : (Ids.obj_id * int, (Ids.task_id * int, unit) Hashtbl.t) Hashtbl.t;
-  pending : (Ids.obj_id * int, pending) Hashtbl.t;
+  reverse : unit Pair_tbl.t Pair_tbl.t;
+  pending : pending Pair_tbl.t;
   (* pages of temporary objects that live in the default pager's store *)
-  swapped : (Ids.obj_id * int, unit) Hashtbl.t;
+  swapped : unit Pair_tbl.t;
   fifo : (Ids.obj_id * int) Queue.t;
   mutable resident_total : int;
   mutable faults : int;
@@ -43,11 +45,11 @@ let create ~engine ~node ~config ~backing ~ids =
     config;
     backing;
     ids;
-    objects = Hashtbl.create 64;
-    tasks = Hashtbl.create 8;
-    reverse = Hashtbl.create 256;
-    pending = Hashtbl.create 32;
-    swapped = Hashtbl.create 64;
+    objects = Int_tbl.create 64;
+    tasks = Int_tbl.create 8;
+    reverse = Pair_tbl.create 256;
+    pending = Pair_tbl.create 32;
+    swapped = Pair_tbl.create 64;
     fifo = Queue.create ();
     resident_total = 0;
     faults = 0;
@@ -67,13 +69,13 @@ let config t = t.config
 (* ------------------------------------------------------------------ *)
 
 let create_object t ~id ~size_pages ~temporary =
-  if Hashtbl.mem t.objects id then
+  if Int_tbl.mem t.objects id then
     invalid_arg "Vm.create_object: id already present on this node";
   let o = Vm_object.create ~id ~size_pages ~temporary () in
-  Hashtbl.add t.objects id o;
+  Int_tbl.add t.objects id o;
   o
 
-let find_object t id = Hashtbl.find_opt t.objects id
+let find_object t id = Int_tbl.find_opt t.objects id
 
 let get_object t id =
   match find_object t id with
@@ -86,7 +88,7 @@ let get_object t id =
 let set_manager t id manager = (get_object t id).Vm_object.manager <- manager
 
 let task_rec t task =
-  match Hashtbl.find_opt t.tasks task with
+  match Int_tbl.find_opt t.tasks task with
   | Some tr -> tr
   | None -> failwith (Printf.sprintf "Vm: unknown task#%d on node %d" task t.node)
 
@@ -97,34 +99,34 @@ let task_rec t task =
 let add_reverse t obj index task vpage =
   let key = (obj, index) in
   let set =
-    match Hashtbl.find_opt t.reverse key with
+    match Pair_tbl.find_opt t.reverse key with
     | Some s -> s
     | None ->
-      let s = Hashtbl.create 4 in
-      Hashtbl.add t.reverse key s;
+      let s = Pair_tbl.create 4 in
+      Pair_tbl.add t.reverse key s;
       s
   in
-  Hashtbl.replace set (task, vpage) ()
+  Pair_tbl.replace set (task, vpage) ()
 
 let remove_translations t obj index =
-  match Hashtbl.find_opt t.reverse (obj, index) with
+  match Pair_tbl.find_opt t.reverse (obj, index) with
   | None -> ()
   | Some set ->
-    Hashtbl.iter
+    Pair_tbl.iter
       (fun (task, vpage) () ->
-        match Hashtbl.find_opt t.tasks task with
+        match Int_tbl.find_opt t.tasks task with
         | Some tr -> Pmap.remove tr.pmap ~vpage
         | None -> ())
       set;
-    Hashtbl.remove t.reverse (obj, index)
+    Pair_tbl.remove t.reverse (obj, index)
 
 let downgrade_translations t obj index =
-  match Hashtbl.find_opt t.reverse (obj, index) with
+  match Pair_tbl.find_opt t.reverse (obj, index) with
   | None -> ()
   | Some set ->
-    Hashtbl.iter
+    Pair_tbl.iter
       (fun (task, vpage) () ->
-        match Hashtbl.find_opt t.tasks task with
+        match Int_tbl.find_opt t.tasks task with
         | Some tr -> (
           match Pmap.lookup tr.pmap ~vpage with
           | Some trn -> trn.prot <- Prot.min trn.prot Prot.Read_only
@@ -167,10 +169,10 @@ let frame_checksum t ~obj ~page =
     (frame_of t obj page)
 
 let wake t obj page =
-  match Hashtbl.find_opt t.pending (obj, page) with
+  match Pair_tbl.find_opt t.pending (obj, page) with
   | None -> ()
   | Some p ->
-    Hashtbl.remove t.pending (obj, page);
+    Pair_tbl.remove t.pending (obj, page);
     List.iter (fun k -> Engine.schedule t.engine ~delay:0. k) p.waiters
 
 let evict_frame t (o : Vm_object.t) index (fr : Vm_object.frame) =
@@ -184,7 +186,7 @@ let evict_frame t (o : Vm_object.t) index (fr : Vm_object.frame) =
         m.m_data_return ~page:index ~contents:fr.contents ~dirty:fr.dirty)
   | None ->
     if fr.dirty && o.temporary then begin
-      Hashtbl.replace t.swapped (o.id, index) ();
+      Pair_tbl.replace t.swapped (o.id, index) ();
       t.backing.store ~obj:o.id ~page:index ~contents:fr.contents ~k:ignore
     end
 (* clean pages are re-derivable: zero-fill, the shadow chain, or the
@@ -274,7 +276,7 @@ let try_accept_page t ~obj ~page ~contents ~dirty ~access =
      refusal is what lets the 4-step eviction algorithm converge on the
      pager when the whole machine is out of memory, instead of
      circulating evicted pages between full nodes forever. *)
-  let fault_waiting = Hashtbl.mem t.pending (obj, page) in
+  let fault_waiting = Pair_tbl.mem t.pending (obj, page) in
   if free_pages t <= 0 && not (fault_waiting && evict_one t) then false
   else begin
     let o = get_object t obj in
@@ -298,7 +300,7 @@ let unwire t ~obj ~page =
 (* ------------------------------------------------------------------ *)
 
 let write_protect_object t oid =
-  Hashtbl.iter
+  Pair_tbl.iter
     (fun (o, index) _set -> if o = oid then downgrade_translations t o index)
     t.reverse
 
@@ -348,7 +350,7 @@ let unsplice_copy t ~src ~copy =
 
 let lock_object_readonly t oid =
   let o = get_object t oid in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun index (fr : Vm_object.frame) ->
       fr.access <- Prot.min fr.access Prot.Read_only;
       downgrade_translations t oid index)
@@ -360,10 +362,10 @@ let lock_object_readonly t oid =
 
 let create_task t =
   let id = Ids.Alloc.fresh t.ids in
-  Hashtbl.add t.tasks id { id; amap = Address_map.create (); pmap = Pmap.create () };
+  Int_tbl.add t.tasks id { id; amap = Address_map.create (); pmap = Pmap.create () };
   id
 
-let task_exists t task = Hashtbl.mem t.tasks task
+let task_exists t task = Int_tbl.mem t.tasks task
 
 let map t ~task ~obj ~start ~npages ~obj_offset ~inherit_ =
   let tr = task_rec t task in
@@ -402,8 +404,8 @@ let unmap t ~task ~start =
   for vpage = e.start to e.start + e.npages - 1 do
     match Pmap.lookup tr.pmap ~vpage with
     | Some trn ->
-      (match Hashtbl.find_opt t.reverse (trn.backing_obj, trn.index) with
-      | Some set -> Hashtbl.remove set (task, vpage)
+      (match Pair_tbl.find_opt t.reverse (trn.backing_obj, trn.index) with
+      | Some set -> Pair_tbl.remove set (task, vpage)
       | None -> ());
       Pmap.remove tr.pmap ~vpage
     | None -> ()
@@ -432,10 +434,10 @@ let terminate_object t oid =
       Vm_object.remove o ~page;
       t.resident_total <- t.resident_total - 1)
     (Vm_object.resident_pages o);
-  Hashtbl.iter
-    (fun (obj, page) () -> if obj = oid then Hashtbl.remove t.swapped (obj, page))
-    (Hashtbl.copy t.swapped);
-  Hashtbl.remove t.objects oid
+  Pair_tbl.iter
+    (fun (obj, page) () -> if obj = oid then Pair_tbl.remove t.swapped (obj, page))
+    (Pair_tbl.copy t.swapped);
+  Int_tbl.remove t.objects oid
 
 let translate_vpage t ~task ~vpage =
   let tr = task_rec t task in
@@ -455,7 +457,7 @@ type lookup =
 
 let rec lookup_chain t (o : Vm_object.t) index =
   if Vm_object.is_resident o index then L_found (o, index)
-  else if Hashtbl.mem t.swapped (o.id, index) then L_swapped (o, index)
+  else if Pair_tbl.mem t.swapped (o.id, index) then L_swapped (o, index)
   else if Vm_object.has_manager o then L_manager (o, index)
   else
     match o.shadow with
@@ -486,7 +488,7 @@ let issue_request t (o : Vm_object.t) index desired =
 
 let park t ctx (o : Vm_object.t) index want retry =
   ctx.went_to_manager <- true;
-  match Hashtbl.find_opt t.pending (o.id, index) with
+  match Pair_tbl.find_opt t.pending (o.id, index) with
   | Some p ->
     p.waiters <- retry :: p.waiters;
     if Prot.compare want p.desired > 0 then begin
@@ -494,7 +496,7 @@ let park t ctx (o : Vm_object.t) index want retry =
       issue_request t o index want
     end
   | None ->
-    Hashtbl.add t.pending (o.id, index) { desired = want; waiters = [ retry ] };
+    Pair_tbl.add t.pending (o.id, index) { desired = want; waiters = [ retry ] };
     issue_request t o index want
 
 (* ------------------------------------------------------------------ *)
@@ -598,7 +600,7 @@ and fault_write t ctx task vpage (o : Vm_object.t) index k =
 and materialize_for_write t ctx task vpage (o : Vm_object.t) index k =
   let want = Prot.Read_write in
   let again () = fault t ctx task vpage want k in
-  if Hashtbl.mem t.swapped (o.id, index) then begin
+  if Pair_tbl.mem t.swapped (o.id, index) then begin
     ctx.went_to_manager <- true;
     t.backing.fetch ~obj:o.id ~page:index ~k:(fun contents ->
         (match contents with
@@ -675,7 +677,7 @@ and local_push t (o : Vm_object.t) index then_k =
           head_index >= 0
           && head_index < head.size_pages
           && (not (Vm_object.is_resident head head_index))
-          && not (Hashtbl.mem t.swapped (head.id, head_index))
+          && not (Pair_tbl.mem t.swapped (head.id, head_index))
           (* a page evicted to the backing store still belongs to the
              copy: pushing would clobber its snapshot *)
         then
@@ -763,7 +765,7 @@ let push_into_copy_chain t (o : Vm_object.t) page contents =
       head_index >= 0
       && head_index < head.size_pages
       && (not (Vm_object.is_resident head head_index))
-      && not (Hashtbl.mem t.swapped (head.id, head_index))
+      && not (Pair_tbl.mem t.swapped (head.id, head_index))
     then begin
       ignore
         (install_frame t head head_index (Contents.snapshot contents) ~dirty:true
@@ -835,7 +837,7 @@ let pull_request t ~obj ~page ~reply =
         match Vm_object.frame s index with
         | Some fr -> answer (Emmi.Pull_contents (Contents.snapshot fr.contents))
         | None ->
-          if Hashtbl.mem t.swapped (s.id, index) then
+          if Pair_tbl.mem t.swapped (s.id, index) then
             t.backing.fetch ~obj:s.id ~page:index ~k:(function
               | Some c -> answer (Emmi.Pull_contents c)
               | None -> answer Emmi.Pull_zero_fill)
@@ -851,7 +853,7 @@ let pull_request t ~obj ~page ~reply =
       match Vm_object.frame o page with
       | Some fr -> answer (Emmi.Pull_contents (Contents.snapshot fr.contents))
       | None ->
-        if Hashtbl.mem t.swapped (o.id, page) then
+        if Pair_tbl.mem t.swapped (o.id, page) then
           t.backing.fetch ~obj ~page ~k:(function
             | Some c -> answer (Emmi.Pull_contents c)
             | None -> answer Emmi.Pull_zero_fill)
@@ -874,16 +876,16 @@ let crash_reset t =
      the restarted-application idealization: the same program resumes
      with cold memory.  Fault continuations parked in [pending] also
      survive, so [redrive_pending] can restart them at rejoin. *)
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _id (o : Vm_object.t) ->
       List.iter (fun page -> Vm_object.remove o ~page) (Vm_object.resident_pages o))
     t.objects;
-  Hashtbl.reset t.reverse;
-  Hashtbl.reset t.swapped;
+  Pair_tbl.reset t.reverse;
+  Pair_tbl.reset t.swapped;
   Queue.clear t.fifo;
   t.resident_total <- 0;
   t.pageout_armed <- false;
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _id tr ->
       List.iter (fun vpage -> Pmap.remove tr.pmap ~vpage) (Pmap.vpages tr.pmap))
     t.tasks
@@ -894,17 +896,17 @@ let redrive_pending t =
      run: each waiter re-faults from scratch, and [park] then creates a
      fresh entry (and a fresh manager request) rather than appending to
      the stale one. *)
-  let entries = Hashtbl.fold (fun key p acc -> (key, p) :: acc) t.pending [] in
+  let entries = Pair_tbl.fold (fun key p acc -> (key, p) :: acc) t.pending [] in
   List.iter
     (fun (key, p) ->
-      Hashtbl.remove t.pending key;
+      Pair_tbl.remove t.pending key;
       List.iter (fun k -> Engine.schedule t.engine ~delay:0. k) p.waiters)
     entries
 
-let pending_faults t = Hashtbl.length t.pending
+let pending_faults t = Pair_tbl.length t.pending
 
 let pending_pages t =
-  Hashtbl.fold (fun key _ acc -> key :: acc) t.pending []
+  Pair_tbl.fold (fun key _ acc -> key :: acc) t.pending []
   |> List.sort_uniq compare
 
 let faults t = t.faults

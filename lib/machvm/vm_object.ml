@@ -1,3 +1,5 @@
+module Int_tbl = Asvm_simcore.Int_tbl
+
 type frame = {
   mutable contents : Contents.t;
   mutable dirty : bool;
@@ -12,9 +14,9 @@ type t = {
   mutable shadow : (Ids.obj_id * int) option;
   mutable copy : Ids.obj_id option;
   mutable version : int;
-  page_versions : (int, int) Hashtbl.t;
+  page_versions : int Int_tbl.t;
   mutable manager : Emmi.manager option;
-  resident : (int, frame) Hashtbl.t;
+  resident : frame Int_tbl.t;
 }
 
 let create ~id ~size_pages ~temporary ?shadow () =
@@ -26,30 +28,30 @@ let create ~id ~size_pages ~temporary ?shadow () =
     shadow;
     copy = None;
     version = 0;
-    page_versions = Hashtbl.create 8;
+    page_versions = Int_tbl.create 8;
     manager = None;
-    resident = Hashtbl.create 16;
+    resident = Int_tbl.create 16;
   }
 
-let frame t page = Hashtbl.find_opt t.resident page
-let is_resident t page = Hashtbl.mem t.resident page
+let frame t page = Int_tbl.find_opt t.resident page
+let is_resident t page = Int_tbl.mem t.resident page
 
 let install t ~page fr =
   if page < 0 || page >= t.size_pages then
     invalid_arg "Vm_object.install: page out of range";
-  Hashtbl.replace t.resident page fr
+  Int_tbl.replace t.resident page fr
 
-let remove t ~page = Hashtbl.remove t.resident page
+let remove t ~page = Int_tbl.remove t.resident page
 
 let resident_pages t =
-  Hashtbl.fold (fun page _ acc -> page :: acc) t.resident [] |> List.sort compare
+  Int_tbl.fold (fun page _ acc -> page :: acc) t.resident [] |> List.sort compare
 
-let resident_count t = Hashtbl.length t.resident
+let resident_count t = Int_tbl.length t.resident
 
 let page_version t page =
-  match Hashtbl.find_opt t.page_versions page with Some v -> v | None -> 0
+  match Int_tbl.find_opt t.page_versions page with Some v -> v | None -> 0
 
-let set_page_version t page v = Hashtbl.replace t.page_versions page v
+let set_page_version t page v = Int_tbl.replace t.page_versions page v
 
 let needs_push t page = page_version t page <> t.version
 

@@ -25,10 +25,10 @@ type t = {
       (** source object and page offset into it *)
   mutable copy : Ids.obj_id option;  (** head of the copy chain *)
   mutable version : int;  (** bumped each time a copy is made (3.7.2) *)
-  page_versions : (int, int) Hashtbl.t;
+  page_versions : int Asvm_simcore.Int_tbl.t;
       (** page -> version at last push; missing = 0 *)
   mutable manager : Emmi.manager option;
-  resident : (int, frame) Hashtbl.t;
+  resident : frame Asvm_simcore.Int_tbl.t;
 }
 
 val create :

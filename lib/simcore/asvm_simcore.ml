@@ -9,3 +9,5 @@ module Engine = Engine
 module Station = Station
 module Rng = Rng
 module Stats = Stats
+module Int_tbl = Int_tbl
+module Pair_tbl = Pair_tbl

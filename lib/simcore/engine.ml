@@ -50,18 +50,14 @@ let run ?until ?max_events t =
     (match max_events with
     | Some m -> t.executed - executed0 < m
     | None -> true)
-    && (match until, Event_queue.min_time t.queue with
-       | Some u, Some next -> next <= u
-       | _, None -> false
-       | None, Some _ -> true)
+    && match until with Some u -> Event_queue.due t.queue u | None -> true
   in
   while continue () && step t do
     ()
   done;
   t.cpu_s <- t.cpu_s +. (Sys.time () -. wall0);
   match until with
-  | Some u when Event_queue.is_empty t.queue || Option.value ~default:u (Event_queue.min_time t.queue) > u ->
-    if u > t.now then t.now <- u
+  | Some u when not (Event_queue.due t.queue u) -> if u > t.now then t.now <- u
   | _ -> ()
 
 let events_executed t = t.executed

@@ -1,7 +1,9 @@
 (** Priority queue of timestamped events.
 
     Events are ordered by time; ties are broken by the insertion sequence
-    number so that runs are fully deterministic. *)
+    number so that runs are fully deterministic.  Adding and popping
+    allocate nothing once the queue has grown to its working size: the
+    heap keeps times, seqs and closures in parallel arrays. *)
 
 type t
 
@@ -17,8 +19,9 @@ val size : t -> int
 (** [add q ~time ~seq k] inserts event [k] firing at [time]. *)
 val add : t -> time:float -> seq:int -> (unit -> unit) -> unit
 
-(** Smallest timestamp currently queued, if any. *)
-val min_time : t -> float option
+(** [due q until] — the earliest queued event fires at or before
+    [until] (false when [q] is empty). *)
+val due : t -> float -> bool
 
 (** Remove and return the earliest event as [(time, seq, k)]. *)
 val pop : t -> (float * int * (unit -> unit)) option

@@ -8,6 +8,7 @@ module Ids = Asvm_machvm.Ids
 module Store_pager = Asvm_pager.Store_pager
 module Metrics = Asvm_obs.Metrics
 module Trace = Asvm_obs.Trace
+module Int_tbl = Asvm_simcore.Int_tbl
 
 (* XMMI: the XMM-internal protocol, an extension of EMMI carried over
    NORMA-IPC. *)
@@ -61,11 +62,11 @@ type mstate = {
   m_pager : Store_pager.t;
   m_sharers : int list;
   (* one byte per page per node: the memory cost the paper criticizes *)
-  m_state : (int, Bytes.t) Hashtbl.t;
+  m_state : Bytes.t Int_tbl.t;
   m_cleaned : Bytes.t;
-  m_busy : (int, unit) Hashtbl.t;
-  m_queue : (int, msg Queue.t) Hashtbl.t;
-  m_waits : (int, wait) Hashtbl.t;
+  m_busy : unit Int_tbl.t;
+  m_queue : msg Queue.t Int_tbl.t;
+  m_waits : wait Int_tbl.t;
 }
 
 (* Metric handles (see docs/PERFORMANCE.md): like the ASVM side, the
@@ -97,10 +98,10 @@ type t = {
   words_per_page : int;
   header_bytes : int;
   mutable ports : msg Ipc.port array;
-  managers : (Ids.obj_id, mstate) Hashtbl.t;
-  exports : (Ids.obj_id, export) Hashtbl.t;
+  managers : mstate Int_tbl.t;
+  exports : export Int_tbl.t;
   pools : fork_pool array;
-  conts : (int, unit -> unit) Hashtbl.t;
+  conts : (unit -> unit) Int_tbl.t;
   mutable next_cont : int;
   metrics : Metrics.Registry.t;
   handles : handles;
@@ -120,11 +121,11 @@ type t = {
 let now t = Asvm_simcore.Engine.now (Vm.engine t.vms.(0))
 
 let node_state ms node =
-  match Hashtbl.find_opt ms.m_state node with
+  match Int_tbl.find_opt ms.m_state node with
   | Some b -> b
   | None ->
     let b = Bytes.make ms.m_size st_invalid in
-    Hashtbl.add ms.m_state node b;
+    Int_tbl.add ms.m_state node b;
     b
 
 let writer_of ms page ~except =
@@ -138,7 +139,7 @@ let readers_of ms page ~except =
     ms.m_sharers
 
 let manager_for t obj =
-  match Hashtbl.find_opt t.managers obj with
+  match Int_tbl.find_opt t.managers obj with
   | Some ms -> ms
   | None -> failwith (Printf.sprintf "Xmm: obj#%d has no manager" obj)
 
@@ -277,7 +278,7 @@ let send t ~src ~dst_node ?carries_page ?row msg =
 let pager_hop t ms ~page ~carries_page ~row k =
   let id = t.next_cont in
   t.next_cont <- id + 1;
-  Hashtbl.add t.conts id k;
+  Int_tbl.add t.conts id k;
   send t ~src:ms.m_node ~dst_node:ms.m_node ~carries_page ~row
     (Pager_hop { cont = id; obj = ms.m_obj; page })
 
@@ -300,11 +301,11 @@ let observe_fault t ~obj ~page ~origin ~write =
 (* ------------------------------------------------------------------ *)
 
 let queue_of ms page =
-  match Hashtbl.find_opt ms.m_queue page with
+  match Int_tbl.find_opt ms.m_queue page with
   | Some q -> q
   | None ->
     let q = Queue.create () in
-    Hashtbl.add ms.m_queue page q;
+    Int_tbl.add ms.m_queue page q;
     q
 
 (* Step 1 of the XMM protocol: create a coherent version of the page at
@@ -319,7 +320,7 @@ let make_coherent t ms ~origin ~page ~desired k =
       if Prot.equal desired Prot.Read_write then Prot.No_access
       else Prot.Read_only
     in
-    Hashtbl.replace ms.m_waits page { remaining = 1; finished = k };
+    Int_tbl.replace ms.m_waits page { remaining = 1; finished = k };
     Bytes.set (node_state ms writer) page
       (if Prot.equal max_access Prot.No_access then st_invalid else st_read);
     send t ~src:ms.m_node ~dst_node:writer
@@ -332,7 +333,7 @@ let flush_readers t ms ~origin ~page ~desired k =
     match readers_of ms page ~except:origin with
     | [] -> k ()
     | readers ->
-      Hashtbl.replace ms.m_waits page
+      Int_tbl.replace ms.m_waits page
         { remaining = List.length readers; finished = k };
       List.iter
         (fun r ->
@@ -434,32 +435,32 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
   end
 
 and unbusy t ms page =
-  Hashtbl.remove ms.m_busy page;
+  Int_tbl.remove ms.m_busy page;
   let q = queue_of ms page in
   if not (Queue.is_empty q) then
     match Queue.pop q with
     | Request { origin; page; desired; upgrade; _ } ->
-      Hashtbl.add ms.m_busy page ();
+      Int_tbl.add ms.m_busy page ();
       run_request t ms ~origin ~page ~desired ~upgrade
     | _ -> assert false
 
 let manager_request t ms ~origin ~page ~desired ~upgrade =
-  if Hashtbl.mem ms.m_busy page then
+  if Int_tbl.mem ms.m_busy page then
     Queue.push
       (Request { origin; obj = ms.m_obj; page; desired; upgrade })
       (queue_of ms page)
   else begin
-    Hashtbl.add ms.m_busy page ();
+    Int_tbl.add ms.m_busy page ();
     run_request t ms ~origin ~page ~desired ~upgrade
   end
 
 let resume_wait ms page =
-  match Hashtbl.find_opt ms.m_waits page with
+  match Int_tbl.find_opt ms.m_waits page with
   | None -> ()
   | Some w ->
     w.remaining <- w.remaining - 1;
     if w.remaining <= 0 then begin
-      Hashtbl.remove ms.m_waits page;
+      Int_tbl.remove ms.m_waits page;
       w.finished ()
     end
 
@@ -545,7 +546,7 @@ let pool_release pool =
 
 let handle_fork_request t ~dst_node ~dst_obj ~page =
   let e =
-    match Hashtbl.find_opt t.exports dst_obj with
+    match Int_tbl.find_opt t.exports dst_obj with
     | Some e -> e
     | None ->
       failwith (Printf.sprintf "Xmm: obj#%d is not an exported copy" dst_obj)
@@ -617,9 +618,9 @@ let handle t node msg =
     Vm.data_supply t.vms.(node) ~obj:dst_obj ~page ~contents
       ~lock:Prot.Read_only ~mode:Emmi.Supply_normal
   | Pager_hop { cont; _ } -> (
-    match Hashtbl.find_opt t.conts cont with
+    match Int_tbl.find_opt t.conts cont with
     | Some k ->
-      Hashtbl.remove t.conts cont;
+      Int_tbl.remove t.conts cont;
       k ()
     | None -> failwith "Xmm: dangling pager continuation")
 
@@ -638,12 +639,12 @@ let create ~net ~ipc_config ~vms ~words_per_page ~fork_threads ?metrics ?trace
       words_per_page;
       header_bytes = ipc_config.Ipc.header_bytes;
       ports = [||];
-      managers = Hashtbl.create 16;
-      exports = Hashtbl.create 16;
+      managers = Int_tbl.create 16;
+      exports = Int_tbl.create 16;
       pools =
         Array.init n (fun _ ->
             { limit = fork_threads; in_use = 0; waiting = Queue.create () });
-      conts = Hashtbl.create 32;
+      conts = Int_tbl.create 32;
       next_cont = 0;
       metrics;
       handles = make_handles metrics;
@@ -692,14 +693,14 @@ let register_shared_object t ~obj ~size_pages ~manager_node ~pager ~sharers =
       m_node = manager_node;
       m_pager = pager;
       m_sharers = sharers;
-      m_state = Hashtbl.create 8;
+      m_state = Int_tbl.create 8;
       m_cleaned = Bytes.make size_pages '\000';
-      m_busy = Hashtbl.create 8;
-      m_queue = Hashtbl.create 8;
-      m_waits = Hashtbl.create 8;
+      m_busy = Int_tbl.create 8;
+      m_queue = Int_tbl.create 8;
+      m_waits = Int_tbl.create 8;
     }
   in
-  Hashtbl.replace t.managers obj ms;
+  Int_tbl.replace t.managers obj ms;
   List.iter
     (fun node ->
       ignore (node_state ms node);
@@ -749,14 +750,14 @@ let register_shared_object t ~obj ~size_pages ~manager_node ~pager ~sharers =
    which is the availability contrast docs/AVAILABILITY.md draws against
    ASVM's re-electable distributed ownership. *)
 let crash_node t ~node =
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ ms ->
       (* the victim's cache is gone: it holds nothing, anywhere *)
-      (match Hashtbl.find_opt ms.m_state node with
+      (match Int_tbl.find_opt ms.m_state node with
       | Some row -> Bytes.fill row 0 ms.m_size st_invalid
       | None -> ());
       (* requests the victim originated and never got served are moot *)
-      Hashtbl.iter
+      Int_tbl.iter
         (fun _page q ->
           let keep = Queue.create () in
           Queue.iter
@@ -800,7 +801,7 @@ let rejoin_node t ~node =
 
 let state_bytes t ~obj =
   let ms = manager_for t obj in
-  Hashtbl.length ms.m_state * ms.m_size
+  Int_tbl.length ms.m_state * ms.m_size
 
 let export_copy t ~src_node ~src_obj ~dst_node ~dst_obj =
   let vm = t.vms.(src_node) in
@@ -813,7 +814,7 @@ let export_copy t ~src_node ~src_obj ~dst_node ~dst_obj =
   ignore
     (Vm.map vm ~task:src_task ~obj:src_obj ~start:0 ~npages:size ~obj_offset:0
        ~inherit_:Asvm_machvm.Address_map.Inherit_none);
-  Hashtbl.replace t.exports dst_obj
+  Int_tbl.replace t.exports dst_obj
     { e_src_node = src_node; e_src_task = src_task };
   let manager =
     {

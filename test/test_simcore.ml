@@ -56,6 +56,64 @@ let test_queue_heap_property =
       in
       drain neg_infinity)
 
+(* Adds and pops interleaved at random, checked against a sorted list of
+   (time, seq).  Times come from a handful of values, so most pops break
+   a tie on seq.  A case runs rounds; each round mostly adds (so the
+   queue usually grows past its initial capacity of 64), then drains to
+   empty before the next refills it.  After each drain no popped closure
+   may still be reachable from the queue. *)
+type queue_op = Add of int | Pop
+
+let queue_ops =
+  let open QCheck.Gen in
+  let op = frequency [ (3, map (fun t -> Add t) (int_bound 7)); (1, return Pop) ] in
+  list_size (int_range 1 4) (list_size (int_bound 400) op)
+
+(* Kept out of line so that no reference to [block] or the closure stays
+   in the caller's frame. *)
+let add_watched q ~time ~seq ~ran ~watch =
+  let block = ref seq in
+  Weak.set watch seq (Some block);
+  Event_queue.add q ~time ~seq (fun () -> ran := !block)
+
+let test_queue_matches_model =
+  QCheck.Test.make ~name:"event queue pops interleaved adds in (time, seq) order"
+    ~count:200
+    (QCheck.make queue_ops)
+    (fun rounds ->
+      let q = Event_queue.create () in
+      let adds = List.fold_left (fun n r -> n + List.length r) 0 rounds in
+      let watch = Weak.create (max 1 adds) in
+      let model = ref [] and seq = ref 0 and ran = ref (-1) in
+      let pop_checked () =
+        match (Event_queue.pop q, !model) with
+        | None, [] -> true
+        | Some (time, s, run), (mt, ms) :: rest ->
+          model := rest;
+          run ();
+          time = mt && s = ms && !ran = s && Event_queue.size q = List.length rest
+        | Some _, [] | None, _ :: _ -> false
+      in
+      let rec drain () = Event_queue.is_empty q || (pop_checked () && drain ()) in
+      let round ops =
+        List.for_all
+          (function
+            | Add t ->
+              let time = float_of_int t in
+              add_watched q ~time ~seq:!seq ~ran ~watch;
+              model := List.merge compare !model [ (time, !seq) ];
+              incr seq;
+              true
+            | Pop -> pop_checked ())
+          ops
+        && drain ()
+        && !model = []
+        &&
+        (Gc.full_major ();
+         Seq.for_all (fun i -> not (Weak.check watch i)) (Seq.init !seq Fun.id))
+      in
+      List.for_all round rounds)
+
 let test_engine_schedule () =
   let e = Engine.create () in
   let log = ref [] in
@@ -223,6 +281,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "pop_into" `Quick test_queue_pop_into;
           qtest test_queue_heap_property;
+          qtest test_queue_matches_model;
         ] );
       ( "engine",
         [
