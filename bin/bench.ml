@@ -310,9 +310,7 @@ let ablation_forwarding () =
        that were invalidated hold a dynamic hint pointing straight at
        the new owner, which static forwarding cannot exploit *)
     let nodes = 24 in
-    let config = Config.default ~nodes in
-    let config = { config with asvm = { config.asvm with forwarding } } in
-    let cl = Asvm_cluster.Cluster.create config in
+    let cl = Asvm_cluster.Cluster.create (Config.default ~nodes) in
     let sharers = List.init nodes Fun.id in
     let obj =
       Asvm_cluster.Cluster.create_shared_object cl ~size_pages:4 ~sharers

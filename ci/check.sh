@@ -105,12 +105,24 @@ for seed in 32 44 88 111; do
     --duration-ms 200 --seed "$seed"
 done
 
-echo "== paper experiments smoke (--quick, 2 jobs)"
+echo "== paper experiments (--quick, 2 jobs) against ci/bench_quick.expected"
 # Tables 1-3, Figures 10-11 and the ablations at quick sizes; bechamel
-# is left out because it times the host, not the simulator
+# is left out because it times the host, not the simulator.  Every
+# number printed is simulated, so the output is a pure function of the
+# source whatever --jobs is: a difference from the committed copy is a
+# change of behaviour.  When the change is intended, regenerate the
+# file with this same command and commit it.
+quick=$(mktemp)
 dune exec bin/asvm_sim.exe -- bench --quick --metrics --jobs 2 \
   table1 figure10 figure11 table2 table3 ablation-forwarding \
-  ablation-paging ablation-readerlist ablation-striping ablation-memory
+  ablation-paging ablation-readerlist ablation-striping ablation-memory \
+  >"$quick"
+if ! diff -u ci/bench_quick.expected "$quick" >&2; then
+  echo "paper experiments: output differs from ci/bench_quick.expected" >&2
+  rm -f "$quick"
+  exit 1
+fi
+rm -f "$quick"
 # an unknown experiment name is a usage error, not a silent no-op
 if dune exec bin/asvm_sim.exe -- bench nosuch >/dev/null 2>&1; then
   echo "asvm-sim bench accepted an unknown experiment name" >&2

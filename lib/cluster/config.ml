@@ -3,7 +3,6 @@ type mm = Mm_asvm | Mm_xmm
 type t = {
   nodes : int;
   mm : mm;
-  seed : int;
   vm : Asvm_machvm.Vm_config.t;
   net : Asvm_mesh.Network.config;
   asvm : Asvm_core.Asvm.config;
@@ -22,7 +21,6 @@ let default ~nodes =
   {
     nodes;
     mm = Mm_asvm;
-    seed = 42;
     vm = Asvm_machvm.Vm_config.default;
     net = Asvm_mesh.Network.paragon_config;
     asvm = Asvm_core.Asvm.default_config;

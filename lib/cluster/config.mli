@@ -7,7 +7,6 @@ type mm = Mm_asvm | Mm_xmm
 type t = {
   nodes : int;
   mm : mm;
-  seed : int;
   vm : Asvm_machvm.Vm_config.t;
   net : Asvm_mesh.Network.config;
   asvm : Asvm_core.Asvm.config;

@@ -12,16 +12,14 @@ module Ids = Asvm_machvm.Ids
 module Store_pager = Asvm_pager.Store_pager
 module Metrics = Asvm_obs.Metrics
 module Trace = Asvm_obs.Trace
+module Msg_meter = Asvm_obs.Msg_meter
 
 type forwarding = { dynamic : bool; static : bool }
-
-let all_forwarding = { dynamic = true; static = true }
 
 type config = {
   sts : Sts.config;
   dynamic_cache_pages : int;
   static_cache_pages : int;
-  forwarding : forwarding;
   internode_paging : bool;
 }
 
@@ -30,7 +28,6 @@ let default_config =
     sts = Sts.default_config;
     dynamic_cache_pages = 256;
     static_cache_pages = 4096;
-    forwarding = all_forwarding;
     internode_paging = true;
   }
 
@@ -87,7 +84,6 @@ type msg =
       contents : Contents.t option;  (** [None] = zero fill *)
       grant : Prot.t;
       owner : bool;
-      readers : int list;
       version : int;
       dirty : bool;
       from : int;
@@ -103,13 +99,7 @@ type msg =
               invalidation or reader query from the same owner that
               overtook it on the wire revoked this very copy *)
     }
-  | A_grant of {
-      obj : Ids.obj_id;
-      page : int;
-      version : int;
-      from : int;
-      gen : int;
-    }
+  | A_grant of { obj : Ids.obj_id; page : int; version : int; gen : int }
   | A_invalidate of {
       obj : Ids.obj_id;
       page : int;
@@ -128,9 +118,9 @@ type msg =
       version : int;
       stamp : int;  (** the sender's [i_stamp] when it asked *)
     }
-  | A_reader_answer of { obj : Ids.obj_id; page : int; from : int; accepted : bool }
+  | A_reader_answer of { obj : Ids.obj_id; page : int; accepted : bool }
   | A_transfer_offer of { obj : Ids.obj_id; page : int; from : int }
-  | A_transfer_answer of { obj : Ids.obj_id; page : int; from : int; accepted : bool }
+  | A_transfer_answer of { obj : Ids.obj_id; page : int; accepted : bool }
   | A_transfer_page of {
       obj : Ids.obj_id;
       page : int;
@@ -214,6 +204,11 @@ type pstate = {
   mutable p_ack_k : unit -> unit;
 }
 
+(* A dirty pageout in flight to the pager (between [A_pager_grant] and
+   [A_to_pager]): the evicting node, and the pager lookups for the page
+   waiting for its contents, newest first. *)
+type pageout = { mutable evictor : int; mutable waiting : request list }
+
 type push_op = {
   mutable o_outstanding : int;
   mutable o_need_nodes : int list;
@@ -261,13 +256,12 @@ type inst = {
      granted the page to; serializes simultaneous cold faults on one
      page (single-owner) *)
   i_granted : (int * int) Int_tbl.t;
-  (* pager-node role: page -> evicting node whose dirty contents are
-     still in flight (between [A_pager_grant] and [A_to_pager]).  A
-     lookup for such a page must wait for the contents: supplying from
-     the store inside the window would hand out the stale pre-eviction
-     image — and the pageout's arrival would then wipe the grant-table
-     entry, letting a later lookup mint a second owner. *)
-  i_pageouts : int Int_tbl.t;
+  (* pager-node role: page -> the pageout whose dirty contents are still
+     in flight.  A lookup for such a page waits in the window until it
+     closes: supplying from the store inside it would hand out the stale
+     pre-eviction image — and the pageout's arrival would then wipe the
+     grant-table entry, letting a later lookup mint a second owner. *)
+  i_pageouts : pageout Int_tbl.t;
   (* owner role: bumped at every read grant, invalidation round and
      reader query, so a reader can order them (the [stamp] fields) *)
   mutable i_stamp : int;
@@ -281,24 +275,6 @@ type inst = {
   mutable i_copy_k : unit -> unit;
 }
 
-(* Metric handles (see docs/PERFORMANCE.md): the registry's string+label
-   hashtable lookup is too slow for the per-message send path, so every
-   series the protocol can bump is resolved to its Counter.t/Histogram.t
-   handle ahead of the hot path.  Fixed-cardinality series resolve
-   eagerly at [create]; the (class, group, contents) cross product of
-   [asvm.msgs] resolves each cell on first use (so snapshots only carry
-   series with actual traffic) and is an array load afterwards. *)
-type handles = {
-  hm_msgs : Metrics.Counter.t option array;
-      (* asvm.msgs{class,group,contents}: row * 3 + contents index *)
-  hm_ot : Metrics.Counter.t option array;
-      (* asvm.msgs.ownership_transfer{msg,contents}, transfer rows only *)
-  hm_counts : Metrics.Counter.t array;  (* one per [count_rows] entry *)
-  hm_fault_read : Metrics.Histogram.t;
-  hm_fault_ownership : Metrics.Histogram.t;
-  hm_recovery : Metrics.Histogram.t;  (* asvm.recovery_ms *)
-}
-
 type t = {
   sts : msg Sts.t;
   net : Network.t;
@@ -306,8 +282,8 @@ type t = {
   wpp : int;
   config : config;
   insts : inst Pair_tbl.t;  (* (node, obj) -> instance *)
-  metrics : Metrics.Registry.t;
-  handles : handles;
+  counts : Metrics.Counter.t array;  (* one per [count_rows] entry *)
+  meter : msg Msg_meter.t;
   trace : Trace.t option;
   (* (node, obj, page) -> time a crash put this fault into recovery
      (dead-letter re-drive or rejoin re-drive); completion of the fresh
@@ -318,7 +294,6 @@ type t = {
 let now t = Engine.now (Vm.engine t.vms.(0))
 
 let sts_messages t = Sts.messages t.sts
-let sts_page_messages t = Sts.page_messages t.sts
 let sts_retransmits t = Sts.retransmits t.sts
 let buffers_reserved t ~node = Sts.buffers_reserved t.sts ~node
 
@@ -349,13 +324,27 @@ let subject_of_msg = function
   | A_copy_made { obj; _ } | A_copy_shared { obj; _ } | A_copy_ack { obj } ->
     (obj, -1)
 
-(* Message class for the metrics registry and the trace.  Classes and
-   accounting groups live in one fixed row table so the send path can
-   resolve a message's metric series by integer index instead of
-   rebuilding a label list per message. *)
+(* Paper 3.1: a message is a fixed header plus at most one page, and a
+   page only ever travels towards a node that asked for it (a fault
+   answer, an accepted pageout or push) — whether one rides along is a
+   property of the message alone. *)
+let carries_page = function
+  | A_reply { contents = Some _; _ } | A_to_pager { contents = Some _; _ }
+  | A_transfer_page _ | A_push_contents _ | A_push_to_copy _ ->
+    true
+  | A_reply { contents = None; _ } | A_to_pager { contents = None; _ }
+  | A_request _ | A_pager_lookup _ | A_pull _ | A_grant _ | A_invalidate _
+  | A_inval_ack _ | A_owner_update _ | A_reader_query _ | A_reader_answer _
+  | A_transfer_offer _ | A_transfer_answer _ | A_pager_offer _
+  | A_pager_grant _ | A_copy_made _ | A_copy_shared _ | A_copy_ack _
+  | A_push_lock _ | A_push_lock_done _ | A_push_ack _ | A_push_prepare _
+  | A_push_ready _ | A_scan_answer _ | A_retry _ ->
+    false
 
-(* Bucket each message class into the accounting groups the paper's
-   message-count claims are stated in (Table 1 and section 3):
+(* Message class for the metrics registry and the trace: one fixed row
+   table, indexed by [row_of_msg], that {!Msg_meter} resolves to its
+   series.  Each class is bucketed into the accounting groups the
+   paper's message-count claims are stated in (Table 1 and section 3):
    - "transfer": the ownership/access-transfer core — request, reply,
      grant, and the owner-change notice to the static manager;
    - "invalidation": flushing read copies before a write grant;
@@ -428,12 +417,6 @@ let row_of_msg = function
   | A_scan_answer _ -> 27
   | A_retry _ -> 28
 
-let row_is_transfer = Array.map (fun (_, g) -> g = "transfer") msg_rows
-
-(* "contents" follows the paper's accounting: a message counts as
-   carrying contents only when a page actually crosses the wire *)
-let contents_labels = [| "none"; "local"; "wire" |]
-
 (* Every protocol event the engine counts, one registry series each
    (see docs/OBSERVABILITY.md): the name [counters] shows it under,
    then the series.  The [c_*] constants index this table. *)
@@ -502,89 +485,18 @@ let c_lost_grant = 25
 let c_lost_page = 26
 let c_revoked_read = 27
 
-let make_handles metrics =
-  {
-    hm_msgs = Array.make (Array.length msg_rows * 3) None;
-    hm_ot = Array.make (Array.length msg_rows * 3) None;
-    hm_counts =
-      Array.map
-        (fun (_, (name, labels)) -> Metrics.Registry.counter metrics name ~labels)
-        count_rows;
-    hm_fault_read =
-      Metrics.Registry.histogram metrics "asvm.fault_ms"
-        ~labels:[ ("kind", "read") ];
-    hm_fault_ownership =
-      Metrics.Registry.histogram metrics "asvm.fault_ms"
-        ~labels:[ ("kind", "ownership") ];
-    hm_recovery = Metrics.Registry.histogram metrics "asvm.recovery_ms";
-  }
-
-let count ?by t c = Metrics.Counter.incr ?by t.handles.hm_counts.(c)
+let count ?by t c = Metrics.Counter.incr ?by t.counts.(c)
 
 let counters t =
   Array.to_list count_rows
-  |> List.mapi (fun c (name, _) ->
-         (name, Metrics.Counter.value t.handles.hm_counts.(c)))
+  |> List.mapi (fun c (name, _) -> (name, Metrics.Counter.value t.counts.(c)))
   |> List.filter (fun (_, n) -> n > 0)
   |> Stats.Counters.of_list
 
-let msgs_counter t row ci =
-  let idx = (row * 3) + ci in
-  match t.handles.hm_msgs.(idx) with
-  | Some c -> c
-  | None ->
-    let cls, group = msg_rows.(row) in
-    let c =
-      Metrics.Registry.counter t.metrics "asvm.msgs"
-        ~labels:
-          [ ("class", cls); ("group", group);
-            ("contents", contents_labels.(ci)) ]
-    in
-    t.handles.hm_msgs.(idx) <- Some c;
-    c
-
-let ot_counter t row ci =
-  let idx = (row * 3) + ci in
-  match t.handles.hm_ot.(idx) with
-  | Some c -> c
-  | None ->
-    let cls, _ = msg_rows.(row) in
-    let c =
-      Metrics.Registry.counter t.metrics "asvm.msgs.ownership_transfer"
-        ~labels:[ ("msg", cls); ("contents", contents_labels.(ci)) ]
-    in
-    t.handles.hm_ot.(idx) <- Some c;
-    c
-
-let page_bytes = 8192
-
-let send t ~src ~dst ?carries_page msg =
-  let with_page = carries_page = Some true in
-  let row = row_of_msg msg in
-  let ci = if not with_page then 0 else if src = dst then 1 else 2 in
-  Metrics.Counter.incr (msgs_counter t row ci);
-  if row_is_transfer.(row) then Metrics.Counter.incr (ot_counter t row ci);
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-    let cls, group = msg_rows.(row) in
-    let obj, page = subject_of_msg msg in
-    Trace.emit tr ~time:(now t) ~node:src
-      (Trace.Msg
-         {
-           proto = "asvm";
-           cls;
-           group;
-           obj;
-           page;
-           src;
-           dst;
-           carries_page = with_page;
-           bytes =
-             (t.config.sts.Sts.header_bytes
-             + if with_page then page_bytes else 0);
-         }));
-  Sts.send t.sts ~src ~dst ?carries_page msg
+let send t ~src ~dst msg =
+  let carries_page = carries_page msg in
+  Msg_meter.message t.meter ~src ~dst ~carries_page msg;
+  Sts.send t.sts ~src ~dst ~carries_page msg
 
 (* [owner] became the page's owner (emitted at the owner). *)
 let trace_ownership t ~obj ~page ~owner =
@@ -710,6 +622,37 @@ let fault_request t ~node ~obj ~page ~want ~upgrade ~gen =
     r_origin_inc = Network.incarnation t.net node;
     r_gen = gen;
   }
+
+(* The answer from [node] to fault request [req]; [None] contents are a
+   zero fill. *)
+let reply ~node req ~grant ~owner ~version ~dirty ~updated ~stamp contents =
+  A_reply
+    {
+      origin_obj = req.r_origin_obj;
+      page = req.r_page;
+      contents;
+      grant;
+      owner;
+      version;
+      dirty;
+      from = node;
+      updated;
+      gen = req.r_gen;
+      stamp;
+    }
+
+(* Ownership at the requested access from outside the owner machine (a
+   pager supply, a zero fill, a pull down the shadow chain): version 0,
+   clean, no read-grant stamp. *)
+let handover ~node req ~updated contents =
+  reply ~node req ~grant:req.r_want ~owner:true ~version:0 ~dirty:false
+    ~updated ~stamp:0 contents
+
+(* A push scan's verdict on its copy object: [found] = the copy already
+   holds the page (an owner or the pager has it), so no push is due. *)
+let scan_answer req ~found =
+  A_scan_answer
+    { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found }
 
 (* The generation of this node's own in-flight fault for the request's
    page when the request is a foreign fault that could wait for it; -1
@@ -876,22 +819,35 @@ and end_of_search t node i req =
 
 (* Executed on the pager's node. *)
 and pager_lookup t node i req =
-  let awaiting_pageout =
-    match Int_tbl.find_opt i.i_pageouts req.r_page with
-    | Some evictor when not (Network.is_down t.net evictor) -> true
-    | Some _ ->
-      (* the evictor died inside the window; its contents either died
-         with it or dead-letter into the store — stop waiting *)
-      Int_tbl.remove i.i_pageouts req.r_page;
-      false
-    | None -> false
-  in
-  if awaiting_pageout then
+  match Int_tbl.find_opt i.i_pageouts req.r_page with
+  | Some po when not (Network.is_down t.net po.evictor) ->
     (* a dirty pageout of this page is in flight to the store: wait for
        it rather than supplying the stale pre-eviction image *)
-    Engine.schedule (Network.engine t.net) ~delay:0.5 (fun () ->
-        if not (request_stale t req) then pager_lookup t node i req)
-  else
+    note_request t ~node ~category:"asvm.pageout_wait" req;
+    po.waiting <- req :: po.waiting
+  | Some _ ->
+    (* the evictor died inside the window; its contents either died
+       with it or dead-letter into the store — stop waiting *)
+    close_pageout t node i req.r_page;
+    supply_lookup t node i req
+  | None -> supply_lookup t node i req
+
+(* The pageout window on [page] closed: its contents reached the store,
+   or its evictor died.  The lookups that waited in it run again as
+   fresh events, in arrival order. *)
+and close_pageout t node i page =
+  match Int_tbl.find_opt i.i_pageouts page with
+  | None -> ()
+  | Some po ->
+    Int_tbl.remove i.i_pageouts page;
+    List.iter
+      (fun req ->
+        Engine.schedule (Network.engine t.net) ~delay:0. (fun () ->
+            if request_stale t req then drop_stale t node req
+            else pager_lookup t node (inst t node req.r_obj) req))
+      (List.rev po.waiting)
+
+and supply_lookup t node i req =
   let chase =
     match Int_tbl.find_opt i.i_granted req.r_page with
     | Some (holder, _) as granted
@@ -924,9 +880,7 @@ and pager_lookup t node i req =
     match req.r_kind with
     | K_push_scan ->
       (* the copy object's page lives at the pager: push unnecessary *)
-      send t ~src:node ~dst:req.r_origin
-        (A_scan_answer
-           { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = true })
+      send t ~src:node ~dst:req.r_origin (scan_answer req ~found:true)
     | K_fault | K_pull ->
       count t c_pager_supply;
       Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
@@ -934,29 +888,12 @@ and pager_lookup t node i req =
         (fun contents ->
           update_static t i ~page:req.r_page
             ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
-          send t ~src:node ~dst:req.r_origin ~carries_page:true
-            (A_reply
-               {
-                 origin_obj = req.r_origin_obj;
-                 page = req.r_page;
-                 contents = Some contents;
-                 grant = req.r_want;
-                 owner = true;
-                 readers = [];
-                 version = 0;
-                 dirty = false;
-                 from = node;
-                 updated = true;
-                 gen = req.r_gen;
-                 stamp = 0;
-               }))
+          send t ~src:node ~dst:req.r_origin
+            (handover ~node req ~updated:true (Some contents)))
   end
   else
     match req.r_kind with
-    | K_push_scan ->
-      send t ~src:node ~dst:req.r_origin
-        (A_scan_answer
-           { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = false })
+    | K_push_scan -> send t ~src:node ~dst:req.r_origin (scan_answer req ~found:false)
     | K_fault | K_pull -> (
       match i.i_shadow with
       | Some (_src, peer) ->
@@ -970,32 +907,14 @@ and pager_lookup t node i req =
 (* The page was never written anywhere: grant a zero-filled page. *)
 and conclude_fresh t node i req =
   match req.r_kind with
-  | K_push_scan ->
-    send t ~src:node ~dst:req.r_origin
-      (A_scan_answer
-         { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = false })
+  | K_push_scan -> send t ~src:node ~dst:req.r_origin (scan_answer req ~found:false)
   | K_fault | K_pull ->
     count t c_zero_grant;
     if node = Store_pager.node (pager_of i req.r_page) then
       Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
     update_static t i ~page:req.r_page
       ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
-    send t ~src:node ~dst:req.r_origin
-      (A_reply
-         {
-           origin_obj = req.r_origin_obj;
-           page = req.r_page;
-           contents = None;
-           grant = req.r_want;
-           owner = true;
-           readers = [];
-           version = 0;
-           dirty = false;
-           from = node;
-           updated = true;
-           gen = req.r_gen;
-           stamp = 0;
-         })
+    send t ~src:node ~dst:req.r_origin (handover ~node req ~updated:true None)
 
 (* ------------------------------------------------------------------ *)
 (* Owner-side state machine (paper 3.5, figure 7)                     *)
@@ -1005,12 +924,10 @@ and owner_handle t node i ps req =
   match req.r_kind with
   | K_push_scan ->
     (* an owner exists in the copy object: the push can be cancelled *)
-    send t ~src:node ~dst:req.r_origin
-      (A_scan_answer
-         { home = req.r_scan_home; page = req.r_page; copy = req.r_obj; found = true })
+    send t ~src:node ~dst:req.r_origin (scan_answer req ~found:true)
   | K_pull ->
     if ps.p_pushing then Queue.push req ps.p_retries
-    else reply_pull t node i ps req
+    else reply_pull t node req
   | K_fault ->
     if ps.p_busy then Queue.push req ps.p_queue
     else begin
@@ -1024,26 +941,11 @@ and owner_handle t node i ps req =
 
 (* A pull wants the frozen snapshot value: reply contents without
    registering a reader or moving ownership. *)
-and reply_pull t node _i ps req =
-  ignore ps;
+and reply_pull t node req =
   match Vm.frame_contents t.vms.(node) ~obj:req.r_obj ~page:req.r_page with
   | Some contents ->
-    send t ~src:node ~dst:req.r_origin ~carries_page:true
-      (A_reply
-         {
-           origin_obj = req.r_origin_obj;
-           page = req.r_page;
-           contents = Some contents;
-           grant = req.r_want;
-           owner = true;
-           readers = [];
-           version = 0;
-           dirty = false;
-           from = node;
-           updated = false;
-           gen = req.r_gen;
-           stamp = 0;
-         })
+    send t ~src:node ~dst:req.r_origin
+      (handover ~node req ~updated:false (Some contents))
   | None ->
     (* owner invariant violated only transiently; treat as not found *)
     forward_request t node (inst t node req.r_obj) req
@@ -1064,22 +966,10 @@ and owner_read_grant t node i ps req =
       | Some contents ->
         add_reader ps req.r_origin;
         i.i_stamp <- i.i_stamp + 1;
-        send t ~src:node ~dst:req.r_origin ~carries_page:true
-          (A_reply
-             {
-               origin_obj = req.r_origin_obj;
-               page = req.r_page;
-               contents = Some contents;
-               grant = Prot.Read_only;
-               owner = false;
-               readers = [];
-               version = ps.p_version;
-               dirty = false;
-               from = node;
-               updated = false;
-               gen = req.r_gen;
-               stamp = i.i_stamp;
-             });
+        send t ~src:node ~dst:req.r_origin
+          (reply ~node req ~grant:Prot.Read_only ~owner:false
+             ~version:ps.p_version ~dirty:false ~updated:false
+             ~stamp:i.i_stamp (Some contents));
         finish_owner_op t node i ps req.r_page ~moved_to:(Some node))
 
 (* Transitions 4/6/7: write access moves ownership to the requester,
@@ -1121,13 +1011,7 @@ and owner_write_grant t node i ps req =
                 if req.r_upgrade && was_reader then
                   send t ~src:node ~dst:req.r_origin
                     (A_grant
-                       {
-                         obj = req.r_obj;
-                         page;
-                         version = ps.p_version;
-                         from = node;
-                         gen = req.r_gen;
-                       })
+                       { obj = req.r_obj; page; version = ps.p_version; gen = req.r_gen })
                 else begin
                   let contents =
                     match Vm.frame_contents vm ~obj:req.r_obj ~page with
@@ -1135,22 +1019,10 @@ and owner_write_grant t node i ps req =
                     | None -> zero t
                   in
                   let dirty = Vm.frame_dirty vm ~obj:req.r_obj ~page in
-                  send t ~src:node ~dst:req.r_origin ~carries_page:true
-                    (A_reply
-                       {
-                         origin_obj = req.r_origin_obj;
-                         page;
-                         contents = Some contents;
-                         grant = Prot.Read_write;
-                         owner = true;
-                         readers = [];
-                         version = ps.p_version;
-                         dirty;
-                         from = node;
-                         updated = true;
-                         gen = req.r_gen;
-                         stamp = 0;
-                       })
+                  send t ~src:node ~dst:req.r_origin
+                    (reply ~node req ~grant:Prot.Read_write ~owner:true
+                       ~version:ps.p_version ~dirty ~updated:true ~stamp:0
+                       (Some contents))
                 end;
                 (* the old owner flushes its own copy: single writer *)
                 Vm.unwire vm ~obj:req.r_obj ~page;
@@ -1336,7 +1208,7 @@ and push_phase_two t node i ~page ~contents op k =
     Int_tbl.replace i.i_push_ops page op2;
     List.iter
       (fun target ->
-        send t ~src:node ~dst:target ~carries_page:true
+        send t ~src:node ~dst:target
           (A_push_contents { obj = i.i_obj; page; contents; from = node }))
       op.o_need_nodes;
     List.iter
@@ -1407,7 +1279,7 @@ and offer_transfer t node i ps ~page ~contents ~dirty =
             count t c_internode_pageout;
             i.i_last_acceptor <- Some target;
             Hint_cache.put i.i_dyn ~page target;
-            send t ~src:node ~dst:target ~carries_page:true
+            send t ~src:node ~dst:target
               (A_transfer_page
                  { obj = i.i_obj; page; contents; dirty; version = ps.p_version });
             finish_owner_op t node i ps page ~moved_to:(Some target)
@@ -1439,7 +1311,7 @@ and pageout_to_pager t node i ps ~page ~contents ~dirty =
   end
   else begin
     Int_tbl.replace i.i_answers page (fun _granted ->
-        send t ~src:node ~dst:pnode ~carries_page:true
+        send t ~src:node ~dst:pnode
           (A_to_pager { obj = i.i_obj; page; contents = Some contents });
         conclude ());
     send t ~src:node ~dst:pnode (A_pager_offer { obj = i.i_obj; page; from = node })
@@ -1455,7 +1327,6 @@ let pager_store_handshake t node i ~page ~contents =
   Int_tbl.replace i.i_answers page (fun _granted ->
       send t ~src:node
         ~dst:(Store_pager.node (pager_of i page))
-        ~carries_page:true
         (A_to_pager { obj = i.i_obj; page; contents = Some contents }));
   send t ~src:node
     ~dst:(Store_pager.node (pager_of i page))
@@ -1465,10 +1336,8 @@ let pager_store_handshake t node i ~page ~contents =
    at the static manager (the [updated] flag of the reply), so sending
    a second [A_owner_update] would only repeat the same hint — the
    paper's three-message transfer relies on exactly one. *)
-let install_owner t node i ~page ~readers ~version ~dirty ~static_updated =
-  let ps = new_pstate ~version in
-  ps.p_readers <- readers;
-  Int_tbl.replace i.i_pages page ps;
+let install_owner t node i ~page ~version ~dirty ~static_updated =
+  Int_tbl.replace i.i_pages page (new_pstate ~version);
   if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
   Hint_cache.remove i.i_dyn ~page;
   trace_ownership t ~obj:i.i_obj ~page ~owner:node;
@@ -1488,89 +1357,63 @@ let drain_inbound t node i page =
       (fun req -> Engine.schedule (Vm.engine vm) ~delay (fun () -> route_request t node req))
       q
 
-(* A completed fault: sample its latency into the registry; when the
-   fault was in crash recovery (re-driven after a dead letter or a
-   rejoin), also sample the recovery-latency histogram. *)
-let observe_fault_latency t i ~page ~ownership =
+(* A generation-checked answer to a superseded request: the re-driven
+   fault still holds this node's receive-buffer reservation, so the
+   stale answer must not consume it. *)
+let superseded i ~page ~gen =
+  gen >= 0
+  &&
+  match Int_tbl.find_opt i.i_outstanding page with
+  | Some (_, g) -> g <> gen
+  | None -> true
+
+(* This node's fault for [page] is answered: give back its receive
+   buffer and sample its latency into the registry; when the fault was
+   in crash recovery (re-driven after a dead letter or a rejoin), also
+   sample the recovery-latency histogram. *)
+let complete_fault t node i ~page ~ownership =
+  Sts.release_buffer t.sts ~node;
   (match Int_tbl.find_opt i.i_outstanding page with
   | None -> ()
-  | Some (t0, _gen) ->
-    Metrics.Histogram.observe
-      (if ownership then t.handles.hm_fault_ownership
-       else t.handles.hm_fault_read)
-      (now t -. t0));
-  match Hashtbl.find_opt t.recovering (i.i_node, i.i_obj, page) with
+  | Some (t0, _gen) -> Msg_meter.fault t.meter ~ownership (now t -. t0));
+  (match Hashtbl.find_opt t.recovering (i.i_node, i.i_obj, page) with
   | None -> ()
   | Some t0 ->
     Hashtbl.remove t.recovering (i.i_node, i.i_obj, page);
-    Metrics.Histogram.observe t.handles.hm_recovery (now t -. t0)
-
-let handle_reply t node
-    (origin_obj, page, contents, grant, owner, readers, version, dirty, from,
-     updated, gen, stamp) =
-  let i = inst t node origin_obj in
-  let stale =
-    (* a generation-checked reply answering a superseded request: the
-       re-driven fault still holds this node's receive-buffer
-       reservation, so the stale answer must not consume it *)
-    gen >= 0
-    &&
-    match Int_tbl.find_opt i.i_outstanding page with
-    | Some (_, g) -> g <> gen
-    | None -> true
-  in
-  let revoked =
-    (not owner)
-    &&
-    match Int_tbl.find_opt i.i_revoked page with
-    | Some (revoker, s) -> revoker = from && stamp < s
-    | None -> false
-  in
-  if stale then count t c_stale_reply
-  else if revoked then begin
-    (* a read grant overtaken on the wire by its owner's invalidation
-       (or reader query): the owner no longer lists this node, so the
-       copy is dropped and the fault asks again, keeping its generation
-       and its receive-buffer reservation *)
-    Int_tbl.remove i.i_revoked page;
-    count t c_revoked_read;
-    let req =
-      fault_request t ~node ~obj:origin_obj ~page ~want:grant ~upgrade:false
-        ~gen
-    in
-    note_request t ~node ~category:"asvm.revoked_read" req;
-    route_request t node req
-  end
-  else begin
-  Sts.release_buffer t.sts ~node;
-  observe_fault_latency t i ~page ~ownership:owner;
+    Msg_meter.recovery t.meter (now t -. t0));
   Int_tbl.remove i.i_outstanding page;
-  Int_tbl.remove i.i_revoked page;
-  let vm = t.vms.(node) in
-  let c = match contents with Some c -> c | None -> zero t in
-  (* A write grant that did not come from a previous owner (pager
-     supply, zero fill, pull through the shadow chain) has not been
-     through the push machinery. If copies exist that the page has not
-     been pushed to, grant read-only: the kernel's upgrade fault then
-     re-enters the owner state machine here, which runs the push before
-     write access is given (3.7.2). *)
-  let effective_grant =
-    if owner && Prot.equal grant Prot.Read_write && version < i.i_version then
-      Prot.Read_only
-    else grant
-  in
-  Vm.data_supply vm ~obj:origin_obj ~page ~contents:c ~lock:effective_grant
-    ~mode:Emmi.Supply_normal;
-  if owner then
-    install_owner t node i ~page ~readers ~version ~dirty
-      ~static_updated:updated
-  else Hint_cache.put i.i_dyn ~page from;
-  drain_inbound t node i page
-  end
+  Int_tbl.remove i.i_revoked page
 
 let reissue t node ~origin_obj ~page ~want ~upgrade =
   route_request t node
     (fault_request t ~node ~obj:origin_obj ~page ~want ~upgrade ~gen:(-1))
+
+(* The boolean answer (reader query, transfer offer, pager offer) the
+   owner's pageout continuation for [page] waits on. *)
+let answer t node ~obj ~page accepted =
+  let i = inst t node obj in
+  match Int_tbl.find_opt i.i_answers page with
+  | Some k ->
+    Int_tbl.remove i.i_answers page;
+    k accepted
+  | None -> ()
+
+(* Owe [dst] the answer [msg] while its real sending waits on an async
+   kernel call or a receive-buffer credit: if the node crashes inside
+   that window, recovery synthesizes [msg] at [dst] so the waiting peer
+   is not stranded.  The returned continuation settles the debt and
+   runs [k] only while the node is still the incarnation that took it
+   on. *)
+let owe t node i ~dst msg k =
+  let owed = (dst, msg) in
+  i.i_owed_acks <- owed :: i.i_owed_acks;
+  let inc = Network.incarnation t.net node in
+  fun result ->
+    if Network.incarnation t.net node = inc && not (Network.is_down t.net node)
+    then begin
+      i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
+      k result
+    end
 
 let rec handle t node msg =
   match msg with
@@ -1580,35 +1423,63 @@ let rec handle t node msg =
     let i = inst t node req.r_obj in
     pager_lookup t node i req
   | A_reply
-      { origin_obj; page; contents; grant; owner; readers; version; dirty; from;
-        updated; gen; stamp }
-    ->
-    handle_reply t node
-      ( origin_obj, page, contents, grant, owner, readers, version, dirty, from,
-        updated, gen, stamp )
-  | A_grant { obj; page; version; from; gen } ->
-    let i = inst t node obj in
-    let stale =
-      gen >= 0
+      { origin_obj; page; contents; grant; owner; version; dirty; from; updated;
+        gen; stamp } ->
+    let i = inst t node origin_obj in
+    let revoked =
+      (not owner)
       &&
-      match Int_tbl.find_opt i.i_outstanding page with
-      | Some (_, g) -> g <> gen
-      | None -> true
+      match Int_tbl.find_opt i.i_revoked page with
+      | Some (revoker, s) -> revoker = from && stamp < s
+      | None -> false
     in
-    if stale then count t c_stale_reply
-    else begin
-      Sts.release_buffer t.sts ~node;
-      observe_fault_latency t i ~page ~ownership:true;
-      Int_tbl.remove i.i_outstanding page;
+    if superseded i ~page ~gen then count t c_stale_reply
+    else if revoked then begin
+      (* a read grant overtaken on the wire by its owner's invalidation
+         (or reader query): the owner no longer lists this node, so the
+         copy is dropped and the fault asks again, keeping its
+         generation and its receive-buffer reservation *)
       Int_tbl.remove i.i_revoked page;
+      count t c_revoked_read;
+      let req =
+        fault_request t ~node ~obj:origin_obj ~page ~want:grant ~upgrade:false
+          ~gen
+      in
+      note_request t ~node ~category:"asvm.revoked_read" req;
+      route_request t node req
+    end
+    else begin
+      complete_fault t node i ~page ~ownership:owner;
+      let c = match contents with Some c -> c | None -> zero t in
+      (* A write grant that did not come from a previous owner (pager
+         supply, zero fill, pull through the shadow chain) has not been
+         through the push machinery. If copies exist that the page has
+         not been pushed to, grant read-only: the kernel's upgrade fault
+         then re-enters the owner state machine here, which runs the
+         push before write access is given (3.7.2). *)
+      let effective_grant =
+        if owner && Prot.equal grant Prot.Read_write && version < i.i_version
+        then Prot.Read_only
+        else grant
+      in
+      Vm.data_supply t.vms.(node) ~obj:origin_obj ~page ~contents:c
+        ~lock:effective_grant ~mode:Emmi.Supply_normal;
+      if owner then
+        install_owner t node i ~page ~version ~dirty ~static_updated:updated
+      else Hint_cache.put i.i_dyn ~page from;
+      drain_inbound t node i page
+    end
+  | A_grant { obj; page; version; gen } ->
+    let i = inst t node obj in
+    if superseded i ~page ~gen then count t c_stale_reply
+    else begin
+      complete_fault t node i ~page ~ownership:true;
       if Vm.is_resident t.vms.(node) ~obj ~page then begin
         Vm.lock_request t.vms.(node) ~obj ~page
           ~op:{ Emmi.max_access = Prot.Read_write; clean = false; mode = Emmi.Lock_plain }
           ~reply:(fun _ -> ());
         (* the granting owner already updated the static manager *)
-        install_owner t node i ~page ~readers:[] ~version ~dirty:false
-          ~static_updated:true;
-        ignore from;
+        install_owner t node i ~page ~version ~dirty:false ~static_updated:true;
         drain_inbound t node i page
       end
       else
@@ -1618,26 +1489,18 @@ let rec handle t node msg =
               ~upgrade:false)
     end
   | A_invalidate { obj; page; new_owner; from; stamp } ->
-    (* transition 8.  The ack waits on an async kernel call: record it
-       as owed so a crash inside the window still acknowledges (the
-       crashed node holds no copy either way). *)
+    (* transition 8.  The ack waits on an async kernel call (a crashed
+       node holds no copy either way). *)
     let i = inst t node obj in
     if Int_tbl.mem i.i_outstanding page then
       Int_tbl.replace i.i_revoked page (from, stamp);
-    let owed = (from, A_inval_ack { obj; page }) in
-    i.i_owed_acks <- owed :: i.i_owed_acks;
-    let inc = Network.incarnation t.net node in
+    let ack = A_inval_ack { obj; page } in
     Vm.lock_request t.vms.(node) ~obj ~page
       ~op:{ Emmi.max_access = Prot.No_access; clean = false; mode = Emmi.Lock_plain }
-      ~reply:(fun _ ->
-        if
-          Network.incarnation t.net node = inc
-          && not (Network.is_down t.net node)
-        then begin
-          i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-          Hint_cache.put i.i_dyn ~page new_owner;
-          send t ~src:node ~dst:from (A_inval_ack { obj; page })
-        end)
+      ~reply:
+        (owe t node i ~dst:from ack (fun _ ->
+             Hint_cache.put i.i_dyn ~page new_owner;
+             send t ~src:node ~dst:from ack))
   | A_inval_ack { obj; page } -> (
     let i = inst t node obj in
     match Int_tbl.find_opt i.i_pages page with
@@ -1678,7 +1541,7 @@ let rec handle t node msg =
       Int_tbl.replace i.i_pages page ps;
       Hint_cache.remove i.i_dyn ~page;
       update_static t i ~page ~hint:(S_at { owner = node; gen = -1 });
-      send t ~src:node ~dst:from (A_reader_answer { obj; page; from = node; accepted = true })
+      send t ~src:node ~dst:from (A_reader_answer { obj; page; accepted = true })
     end
     else begin
       if Int_tbl.mem i.i_outstanding page then
@@ -1692,16 +1555,11 @@ let rec handle t node msg =
               mode = Emmi.Lock_plain;
             }
           ~reply:(fun _ -> ());
-      send t ~src:node ~dst:from
-        (A_reader_answer { obj; page; from = node; accepted = false })
+      send t ~src:node ~dst:from (A_reader_answer { obj; page; accepted = false })
     end
-  | A_reader_answer { obj; page; from = _; accepted } -> (
-    let i = inst t node obj in
-    match Int_tbl.find_opt i.i_answers page with
-    | Some k ->
-      Int_tbl.remove i.i_answers page;
-      k accepted
-    | None -> ())
+  | A_reader_answer { obj; page; accepted }
+  | A_transfer_answer { obj; page; accepted } ->
+    answer t node ~obj ~page accepted
   | A_transfer_offer { obj; page; from } ->
     (* "a node with free memory" (§3.6 step 2) means free above the
        target's own pageout high watermark: accepting below it would
@@ -1715,14 +1573,7 @@ let rec handle t node msg =
       > (Vm.config vm).Asvm_machvm.Vm_config.pageout_high_pages
       && Sts.reserve_buffer t.sts ~node
     in
-    send t ~src:node ~dst:from (A_transfer_answer { obj; page; from = node; accepted })
-  | A_transfer_answer { obj; page; from = _; accepted } -> (
-    let i = inst t node obj in
-    match Int_tbl.find_opt i.i_answers page with
-    | Some k ->
-      Int_tbl.remove i.i_answers page;
-      k accepted
-    | None -> ())
+    send t ~src:node ~dst:from (A_transfer_answer { obj; page; accepted })
   | A_transfer_page { obj; page; contents; dirty; version } ->
     let i = inst t node obj in
     Sts.release_buffer t.sts ~node;
@@ -1745,27 +1596,23 @@ let rec handle t node msg =
       update_static t i ~page ~hint:S_paged
     end
   | A_pager_offer { obj; page; from } ->
-    (* the grant may wait for a receive buffer: owe it, so a crash
-       mid-wait still answers — the contents then dead-letter into the
-       store, which survives the crash *)
+    (* the grant may wait for a receive buffer; a crash mid-wait still
+       answers — the contents then dead-letter into the store, which
+       survives the crash *)
     let i = inst t node obj in
-    let owed = (from, A_pager_grant { obj; page }) in
-    i.i_owed_acks <- owed :: i.i_owed_acks;
-    Sts.acquire_buffer t.sts ~node (fun () ->
-        i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-        Int_tbl.replace i.i_pageouts page from;
-        send t ~src:node ~dst:from (A_pager_grant { obj; page }))
-  | A_pager_grant { obj; page } -> (
-    let i = inst t node obj in
-    match Int_tbl.find_opt i.i_answers page with
-    | Some k ->
-      Int_tbl.remove i.i_answers page;
-      k true
-    | None -> ())
+    let grant = A_pager_grant { obj; page } in
+    Sts.acquire_buffer t.sts ~node
+      (owe t node i ~dst:from grant (fun () ->
+           (match Int_tbl.find_opt i.i_pageouts page with
+           | Some po -> po.evictor <- from
+           | None ->
+             Int_tbl.add i.i_pageouts page { evictor = from; waiting = [] });
+           send t ~src:node ~dst:from grant))
+  | A_pager_grant { obj; page } -> answer t node ~obj ~page true
   | A_to_pager { obj; page; contents } -> (
     let i = inst t node obj in
     Int_tbl.remove i.i_granted page;
-    Int_tbl.remove i.i_pageouts page;
+    close_pageout t node i page;
     match contents with
     | Some c ->
       Sts.release_buffer t.sts ~node;
@@ -1796,40 +1643,26 @@ let rec handle t node msg =
       k ()
     end
   | A_push_lock { obj; page; from } ->
-    let vm = t.vms.(node) in
     let i = inst t node obj in
-    let owed =
-      (from, A_push_lock_done { obj; page; from = node; needs_contents = false })
-    in
-    i.i_owed_acks <- owed :: i.i_owed_acks;
-    let inc = Network.incarnation t.net node in
-    Vm.lock_request vm ~obj ~page
+    Vm.lock_request t.vms.(node) ~obj ~page
       ~op:{ Emmi.max_access = Prot.Read_only; clean = false; mode = Emmi.Lock_push_first }
-      ~reply:(fun result ->
-        if
-          Network.incarnation t.net node = inc
-          && not (Network.is_down t.net node)
-        then begin
-          i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-          let needs_contents =
-            match result with
-            | Emmi.Lock_not_present -> Sts.reserve_buffer t.sts ~node
-            | Emmi.Lock_done _ -> false
-          in
-          send t ~src:node ~dst:from
-            (A_push_lock_done { obj; page; from = node; needs_contents })
-        end)
-  | A_push_lock_done { obj; page; from; needs_contents } -> (
+      ~reply:
+        (owe t node i ~dst:from
+           (A_push_lock_done { obj; page; from = node; needs_contents = false })
+           (fun result ->
+             let needs_contents =
+               match result with
+               | Emmi.Lock_not_present -> Sts.reserve_buffer t.sts ~node
+               | Emmi.Lock_done _ -> false
+             in
+             send t ~src:node ~dst:from
+               (A_push_lock_done { obj; page; from = node; needs_contents })))
+  | A_push_lock_done { obj; page; from; needs_contents } ->
     let i = inst t node obj in
-    match Int_tbl.find_opt i.i_push_ops page with
-    | Some op ->
-      if needs_contents then op.o_need_nodes <- from :: op.o_need_nodes;
-      op.o_outstanding <- op.o_outstanding - 1;
-      if op.o_outstanding <= 0 then begin
-        Int_tbl.remove i.i_push_ops page;
-        op.o_k ()
-      end
-    | None -> ())
+    (match Int_tbl.find_opt i.i_push_ops page with
+    | Some op when needs_contents -> op.o_need_nodes <- from :: op.o_need_nodes
+    | Some _ | None -> ());
+    push_op_done i ~page
   | A_push_contents { obj; page; contents; from } ->
     Sts.release_buffer t.sts ~node;
     Vm.data_supply t.vms.(node) ~obj ~page ~contents ~lock:Prot.Read_only
@@ -1841,11 +1674,9 @@ let rec handle t node msg =
     (* reserve a buffer for the incoming pushed page of a shared copy;
        owe the pusher an ack in case this node crashes mid-wait *)
     let i = inst t node copy in
-    let owed = (from, A_push_ack { home; page }) in
-    i.i_owed_acks <- owed :: i.i_owed_acks;
-    Sts.acquire_buffer t.sts ~node (fun () ->
-        i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-        send t ~src:node ~dst:from (A_push_ready { copy; home; page }))
+    Sts.acquire_buffer t.sts ~node
+      (owe t node i ~dst:from (A_push_ack { home; page }) (fun () ->
+           send t ~src:node ~dst:from (A_push_ready { copy; home; page })))
   | A_push_ready { copy; home; page } -> (
     let i = inst t node home in
     match Int_tbl.find_opt i.i_push_ops page with
@@ -1855,7 +1686,7 @@ let rec handle t node msg =
         let peer =
           match List.assoc_opt copy i.i_copies with Some p -> p | None -> node
         in
-        send t ~src:node ~dst:peer ~carries_page:true
+        send t ~src:node ~dst:peer
           (A_push_to_copy { copy; home; page; contents; from = node })
       | None -> push_op_done i ~page)
     | None -> ())
@@ -1877,22 +1708,16 @@ let rec handle t node msg =
       (* no memory at the peer: the frozen page goes to the copy's pager *)
       pager_store_handshake t node i ~page ~contents;
     send t ~src:node ~dst:from (A_push_ack { home; page })
-  | A_scan_answer { home; page; copy; found } -> (
+  | A_scan_answer { home; page; copy; found } ->
     let i = inst t node home in
-    match Int_tbl.find_opt i.i_push_ops page with
-    | Some op ->
-      if not found then begin
-        let peer =
-          match List.assoc_opt copy i.i_copies with Some p -> p | None -> node
-        in
-        op.o_need_copies <- (copy, peer) :: op.o_need_copies
-      end;
-      op.o_outstanding <- op.o_outstanding - 1;
-      if op.o_outstanding <= 0 then begin
-        Int_tbl.remove i.i_push_ops page;
-        op.o_k ()
-      end
-    | None -> ())
+    (match Int_tbl.find_opt i.i_push_ops page with
+    | Some op when not found ->
+      let peer =
+        match List.assoc_opt copy i.i_copies with Some p -> p | None -> node
+      in
+      op.o_need_copies <- (copy, peer) :: op.o_need_copies
+    | Some _ | None -> ());
+    push_op_done i ~page
   | A_retry { origin_obj; page; want; upgrade } ->
     count t c_copy_retry;
     reissue t node ~origin_obj ~page ~want ~upgrade
@@ -1904,39 +1729,10 @@ and handle_pull t node req =
   Vm.pull_request vm ~obj:req.r_obj ~page:req.r_page ~reply:(fun result ->
       match result with
       | Emmi.Pull_contents contents ->
-        send t ~src:node ~dst:req.r_origin ~carries_page:true
-          (A_reply
-             {
-               origin_obj = req.r_origin_obj;
-               page = req.r_page;
-               contents = Some contents;
-               grant = req.r_want;
-               owner = true;
-               readers = [];
-               version = 0;
-               dirty = false;
-               from = node;
-               updated = false;
-               gen = req.r_gen;
-               stamp = 0;
-             })
-      | Emmi.Pull_zero_fill ->
         send t ~src:node ~dst:req.r_origin
-          (A_reply
-             {
-               origin_obj = req.r_origin_obj;
-               page = req.r_page;
-               contents = None;
-               grant = req.r_want;
-               owner = true;
-               readers = [];
-               version = 0;
-               dirty = false;
-               from = node;
-               updated = false;
-               gen = req.r_gen;
-               stamp = 0;
-             })
+          (handover ~node req ~updated:false (Some contents))
+      | Emmi.Pull_zero_fill ->
+        send t ~src:node ~dst:req.r_origin (handover ~node req ~updated:false None)
       | Emmi.Pull_ask_shadow shadow_obj ->
         (* continue the search in the shadow object's SVM space *)
         req.r_obj <- shadow_obj;
@@ -2071,14 +1867,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       if req.r_kind = K_push_scan then
         (* [found = false] is the safe answer: it costs at most one
            redundant push, where [true] could skip a needed one *)
-        deliver_if_alive t req.r_origin
-          (A_scan_answer
-             {
-               home = req.r_scan_home;
-               page = req.r_page;
-               copy = req.r_origin_obj;
-               found = false;
-             })
+        deliver_if_alive t req.r_origin (scan_answer req ~found:false)
       else redrive_fault t req
     | A_reply { origin_obj; page; contents; owner; _ } -> (
       match inst_opt origin_obj with
@@ -2119,11 +1908,9 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       (* a crashed reader holds no copy: acknowledge on its behalf *)
       deliver_if_alive t from (A_inval_ack { obj; page })
     | A_reader_query { obj; page; from; _ } ->
-      deliver_if_alive t from
-        (A_reader_answer { obj; page; from = dst; accepted = false })
+      deliver_if_alive t from (A_reader_answer { obj; page; accepted = false })
     | A_transfer_offer { obj; page; from } ->
-      deliver_if_alive t from
-        (A_transfer_answer { obj; page; from = dst; accepted = false })
+      deliver_if_alive t from (A_transfer_answer { obj; page; accepted = false })
     | A_transfer_answer { accepted; _ } ->
       (* the offering owner died; the acceptor's reservation would leak *)
       if accepted && not (Network.is_down t.net src) then
@@ -2146,7 +1933,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       if not (Network.is_down t.net src) then begin
         Sts.release_buffer t.sts ~node:src;
         match Pair_tbl.find_opt t.insts (src, obj) with
-        | Some pi -> Int_tbl.remove pi.i_pageouts page
+        | Some pi -> close_pageout t src pi page
         | None -> ()
       end
     | A_to_pager { obj; page; contents } -> (
@@ -2204,8 +1991,15 @@ let create ~net ~(config : config) ~vms ~words_per_page ?metrics ?trace () =
       wpp = words_per_page;
       config;
       insts = Pair_tbl.create 64;
-      metrics;
-      handles = make_handles metrics;
+      counts =
+        Array.map
+          (fun (_, (name, labels)) -> Metrics.Registry.counter metrics name ~labels)
+          count_rows;
+      meter =
+        Msg_meter.create metrics ?trace
+          ~clock:(fun () -> Engine.now (Network.engine net))
+          ~proto:"asvm" ~header_bytes:config.sts.Sts.header_bytes ~rows:msg_rows
+          ~row_of:row_of_msg ~subject_of:subject_of_msg ();
       trace;
       recovering = Hashtbl.create 16;
     }
@@ -2254,7 +2048,9 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
   | [] -> invalid_arg "Asvm.register_object: at least one pager required"
   | _ -> ());
   let pagers = Array.of_list pagers in
-  let fwd = Option.value forwarding ~default:t.config.forwarding in
+  let fwd =
+    Option.value forwarding ~default:{ dynamic = true; static = true }
+  in
   let pager_nodes =
     Array.to_list (Array.map Store_pager.node pagers)
     |> List.filter (fun n -> not (List.mem n sharers))
@@ -2380,15 +2176,25 @@ let crash_node t ~node =
       t.insts []
   in
   (* requests other nodes had parked at the victim — waiting on its
-     in-flight fault, queued at its owner machine, or actively being
-     served — restart from their origins; owed answers are synthesized
-     so no survivor waits on the dead node *)
+     in-flight fault or on a pageout to its pager, queued at its owner
+     machine, or actively being served — restart from their origins
+     (a push scan is answered [found = false], as in [salvage]); owed
+     answers are synthesized so no survivor waits on the dead node *)
   let parked = ref [] and owed = ref [] in
   let park req = parked := req :: !parked in
   List.iter
     (fun (_obj, i) ->
       Int_tbl.iter (fun _page q -> Queue.iter park q) i.i_waiting_inbound;
       Int_tbl.clear i.i_waiting_inbound;
+      Int_tbl.iter
+        (fun _page po ->
+          List.iter
+            (fun req ->
+              if req.r_kind = K_push_scan then
+                owed := (req.r_origin, scan_answer req ~found:false) :: !owed
+              else park req)
+            po.waiting)
+        i.i_pageouts;
       Int_tbl.iter
         (fun _page ps ->
           (match ps.p_active with Some req -> park req | None -> ());
@@ -2443,11 +2249,10 @@ let crash_node t ~node =
            lookups for them *)
         let stale_po =
           Int_tbl.fold
-            (fun page evictor acc ->
-              if evictor = node then page :: acc else acc)
+            (fun page po acc -> if po.evictor = node then page :: acc else acc)
             i.i_pageouts []
         in
-        List.iter (fun page -> Int_tbl.remove i.i_pageouts page) stale_po
+        List.iter (fun page -> close_pageout t n i page) stale_po
       end)
     t.insts;
   (* re-elect an owner for every page the victim owned *)
@@ -2478,17 +2283,18 @@ let rejoin_node t ~node =
     (Vm.pending_pages t.vms.(node));
   Vm.redrive_pending t.vms.(node)
 
-let object_copied t ~src ~peer ~shared k =
+(* Announce a change to [src]'s copy configuration from [peer] to every
+   sharer, [peer] included; [k] runs once all of them acknowledged. *)
+let announce_copy t ~src ~peer k msg =
   let i = inst t peer src in
-  let new_version = i.i_version + 1 in
-  let sharers = Array.to_list i.i_sharers in
-  i.i_copy_acks <- List.length sharers;
+  i.i_copy_acks <- Array.length i.i_sharers;
   i.i_copy_k <- k;
-  List.iter
-    (fun node ->
-      send t ~src:peer ~dst:node
-        (A_copy_made { obj = src; peer; shared; new_version; from = peer }))
-    sharers
+  Array.iter (fun node -> send t ~src:peer ~dst:node msg) i.i_sharers
+
+let object_copied t ~src ~peer ~shared k =
+  let new_version = (inst t peer src).i_version + 1 in
+  announce_copy t ~src ~peer k
+    (A_copy_made { obj = src; peer; shared; new_version; from = peer })
 
 (* ------------------------------------------------------------------ *)
 (* Range locking (paper section 6, future work): pin pages this node
@@ -2514,15 +2320,7 @@ let release_page t ~node ~obj ~page =
   | Some _ | None -> ()
 
 let copy_promoted t ~src ~copy ~peer k =
-  let i = inst t peer src in
-  let sharers = Array.to_list i.i_sharers in
-  i.i_copy_acks <- List.length sharers;
-  i.i_copy_k <- k;
-  List.iter
-    (fun node ->
-      send t ~src:peer ~dst:node
-        (A_copy_shared { obj = src; copy; peer; from = peer }))
-    sharers
+  announce_copy t ~src ~peer k (A_copy_shared { obj = src; copy; peer; from = peer })
 
 let claim_residents t ~node ~obj =
   let i = inst t node obj in
@@ -2645,6 +2443,14 @@ let check_invariants t =
                 (Int_tbl.mem i.i_pages page)
                 (Vm.is_resident t.vms.(node) ~obj ~page))
             i.i_waiting_inbound;
+          Int_tbl.iter
+            (fun page po ->
+              if po.waiting <> [] then
+                bad
+                  "obj#%d: node %d holds %d lookups for page %d behind a \
+                   pageout from node %d"
+                  obj node (List.length po.waiting) page po.evictor)
+            i.i_pageouts;
           if Int_tbl.length i.i_push_ops > 0 then
             bad "obj#%d: node %d has unfinished push operations" obj node;
           if Int_tbl.length i.i_answers > 0 then

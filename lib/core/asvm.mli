@@ -28,15 +28,14 @@
 module Vm = Asvm_machvm.Vm
 module Prot = Asvm_machvm.Prot
 
+(** Which forwarding mechanisms an object's requests may use; the
+    global ring sweep is always the last resort. *)
 type forwarding = { dynamic : bool; static : bool }
-
-val all_forwarding : forwarding
 
 type config = {
   sts : Asvm_sts.Sts.config;
   dynamic_cache_pages : int;  (** per-node dynamic hint cache capacity *)
   static_cache_pages : int;  (** per-node static manager table capacity *)
-  forwarding : forwarding;  (** default; can be overridden per object *)
   internode_paging : bool;
       (** enable eviction step 3 (page transfer to a node with free
           memory); disabling it degrades eviction to the pager path,
@@ -50,16 +49,20 @@ type t
 (** [metrics] receives every count the protocol keeps — [asvm.msgs]
     (labels [class]/[group]/[contents]),
     [asvm.msgs.ownership_transfer], [asvm.forwarding] (label
-    [mechanism]), [asvm.park_timeouts], [asvm.pageout] (label [step]),
+    [mechanism]), [asvm.revoked_reads], [asvm.pageout] (label [step]),
     [asvm.copy] (label [op]), [asvm.crash] (label [event]),
     [asvm.ownership_transfers], [asvm.invalidations],
     [asvm.zero_grants], [asvm.pager_supplies] — and the
     [asvm.fault_ms] / [asvm.recovery_ms] latency histograms; a private
-    registry is created when omitted.  [trace] receives one structured
+    registry is created when omitted.  The message series, the fault
+    histograms and the per-message trace events go through one
+    {!Asvm_obs.Msg_meter}.  [trace] receives one structured
     {!Asvm_obs.Trace.Msg} event per protocol message, an
     {!Asvm_obs.Trace.Ownership} event per ownership transition, and
-    [asvm.park] / [asvm.park_timeout] / [asvm.stale_drop] notes for
-    requests parked, unparked into a sweep, or dropped.  See
+    [asvm.park] / [asvm.escalation] / [asvm.revoked_read] /
+    [asvm.stale_drop] notes for requests parked behind an in-flight
+    fault, supplied by the pager's liveness escape, asked again after a
+    revoked read grant, or dropped as stale.  See
     [docs/OBSERVABILITY.md]. *)
 val create :
   net:Asvm_mesh.Network.t ->
@@ -79,7 +82,9 @@ val create :
     files, served round-robin by page number (the paper's section 6
     proposal). [shadow] marks a copy object: [(source id, peer node)] —
     the node the copy was created on, where pulls walk the local shadow
-    chain (figure 9). Installs the EMMI manager proxies. *)
+    chain (figure 9). [forwarding] (default: both mechanisms on) is the
+    paper's per-object choice of forwarding mechanisms.  Installs the
+    EMMI manager proxies. *)
 val register_object :
   t ->
   obj:Asvm_machvm.Ids.obj_id ->
@@ -174,7 +179,6 @@ val rejoin_node : t -> node:int -> unit
 (** {1 Introspection} *)
 
 val sts_messages : t -> int
-val sts_page_messages : t -> int
 
 (** Messages retransmitted by the reliable-STS layer (0 unless
     [config.sts.reliability] is enabled). *)
@@ -187,7 +191,7 @@ val buffers_reserved : t -> node:int -> int
 
 (** A fresh copy of the event counts listed at {!create}, read from
     the registry, under the names the [perfbench] benchmark reads
-    ([forward.dynamic], [forward.park_timeouts], [pageout.to_pager],
+    ([forward.dynamic], [forward.loop_breaks], [pageout.to_pager],
     [crash.lost_pages], ...; [docs/OBSERVABILITY.md] maps each name to
     its series).  Counts still at zero are absent; writing to the copy
     changes nothing. *)
@@ -219,5 +223,6 @@ val readers : t -> obj:Asvm_machvm.Ids.obj_id -> page:int -> int list option
     - every reader registered at an owner is a distinct sharer, not the
       owner itself;
     - kernel write access implies ownership (single writer);
-    - no parked foreign requests or unanswered continuations remain. *)
+    - no parked foreign requests, pager lookups waiting on a pageout,
+      or unanswered continuations remain. *)
 val check_invariants : t -> string list

@@ -17,8 +17,6 @@ type 'a t = {
   table : 'a node Int_tbl.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -28,11 +26,8 @@ let create ~capacity =
     table = Int_tbl.create (max 8 capacity);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
   }
 
-let capacity t = t.capacity
 let size t = Int_tbl.length t.table
 
 let unlink t n =
@@ -75,11 +70,8 @@ let find t ~page =
   match Int_tbl.find_opt t.table page with
   | Some n ->
     move_to_front t n;
-    t.hits <- t.hits + 1;
     Some n.value
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  | None -> None
 
 let remove t ~page =
   match Int_tbl.find_opt t.table page with
@@ -87,6 +79,3 @@ let remove t ~page =
     unlink t n;
     Int_tbl.remove t.table page
   | None -> ()
-
-let hits t = t.hits
-let misses t = t.misses

@@ -11,14 +11,8 @@ type 'a t
 (** [create ~capacity]. A capacity of 0 makes every lookup miss. *)
 val create : capacity:int -> 'a t
 
-val capacity : 'a t -> int
 val size : 'a t -> int
 
 val put : 'a t -> page:int -> 'a -> unit
 val find : 'a t -> page:int -> 'a option
 val remove : 'a t -> page:int -> unit
-
-(** Fraction of lookups that hit (for ablation benches). *)
-val hits : 'a t -> int
-
-val misses : 'a t -> int

@@ -139,7 +139,6 @@ let downgrade_translations t obj index =
 (* ------------------------------------------------------------------ *)
 
 let resident_total t = t.resident_total
-let capacity_pages t = t.config.memory_pages
 let free_pages t = t.config.memory_pages - t.resident_total
 
 let frame_of t obj index =
@@ -326,6 +325,30 @@ let make_asymmetric_copy t ~src =
   write_protect_object t src;
   c
 
+(* The older copy [older] read through [c] at offset [o_off]: every
+   page [c] holds that [older] lacks is one of [older]'s frozen values
+   (pushed into [c] for both, or read from [c]'s own snapshot), so it
+   becomes [older]'s own before the link goes.  Snapshots are taken
+   before installing, since an install may evict. *)
+let inherit_frozen_pages t ~(older : Vm_object.t) ~o_off (c : Vm_object.t) =
+  let lacks oi =
+    oi >= 0 && oi < older.size_pages
+    && (not (Vm_object.is_resident older oi))
+    && not (Pair_tbl.mem t.swapped (older.id, oi))
+  in
+  List.filter_map
+    (fun ci ->
+      let oi = ci - o_off in
+      match Vm_object.frame c ci with
+      | Some fr when lacks oi -> Some (oi, Contents.snapshot fr.contents)
+      | Some _ | None -> None)
+    (Vm_object.resident_pages c)
+  |> List.iter (fun (oi, contents) ->
+         if lacks oi then
+           ignore
+             (install_frame t older oi contents ~dirty:true
+                ~access:Prot.Read_write))
+
 let unsplice_copy t ~src ~copy =
   let rec remove_from prev_id =
     let prev = get_object t prev_id in
@@ -341,12 +364,24 @@ let unsplice_copy t ~src ~copy =
            offset through the removed link *)
         let o_off = match older.shadow with Some (_, o) -> o | None -> 0 in
         let c_off = match c.shadow with Some (_, o) -> o | None -> 0 in
+        inherit_frozen_pages t ~older ~o_off c;
         older.shadow <- Some (prev_id, o_off + c_off)
       | None -> ());
       c.copy <- None
     | Some cid -> remove_from cid
   in
-  remove_from src
+  remove_from src;
+  (* Tasks here that read through [copy] hold translations into its
+     frames or [src]'s.  Both now change outside this node's copy chain
+     ([copy] under a sibling's writes, [src] with pushes only to
+     distributed copies), so every such translation goes and re-resolves
+     through its own chain. *)
+  List.iter
+    (fun oid ->
+      Int_tbl.iter
+        (fun index _ -> remove_translations t oid index)
+        (get_object t oid).Vm_object.resident)
+    [ src; copy ]
 
 let lock_object_readonly t oid =
   let o = get_object t oid in
@@ -364,8 +399,6 @@ let create_task t =
   let id = Ids.Alloc.fresh t.ids in
   Int_tbl.add t.tasks id { id; amap = Address_map.create (); pmap = Pmap.create () };
   id
-
-let task_exists t task = Int_tbl.mem t.tasks task
 
 let map t ~task ~obj ~start ~npages ~obj_offset ~inherit_ =
   let tr = task_rec t task in
@@ -902,8 +935,6 @@ let redrive_pending t =
       Pair_tbl.remove t.pending key;
       List.iter (fun k -> Engine.schedule t.engine ~delay:0. k) p.waiters)
     entries
-
-let pending_faults t = Pair_tbl.length t.pending
 
 let pending_pages t =
   Pair_tbl.fold (fun key _ acc -> key :: acc) t.pending []

@@ -53,13 +53,17 @@ val lock_object_readonly : t -> Ids.obj_id -> unit
 (** Remove [copy] from [src]'s kernel copy chain (re-linking any older
     copies to [src]). Used when a node-local copy object becomes shared
     across nodes: from then on its pushes are coordinated by ASVM's
-    push-scan machinery instead of the local [Lock_push_first] path. *)
+    push-scan machinery instead of the local [Lock_push_first] path.
+    The older copy that read through [copy] first takes every resident
+    page of [copy] it lacks, and this node's translations into the
+    frames of [src] and [copy] are dropped (see DESIGN.md, delayed
+    copy).  A page of [copy] swapped out to the default pager is not
+    handed over. *)
 val unsplice_copy : t -> src:Ids.obj_id -> copy:Ids.obj_id -> unit
 
 (** {1 Tasks and mappings} *)
 
 val create_task : t -> Ids.task_id
-val task_exists : t -> Ids.task_id -> bool
 
 val map :
   t ->
@@ -155,7 +159,6 @@ val frame_dirty : t -> obj:Ids.obj_id -> page:int -> bool
 val frame_checksum : t -> obj:Ids.obj_id -> page:int -> int option
 
 val resident_total : t -> int
-val capacity_pages : t -> int
 val free_pages : t -> int
 
 (** Accept a page transferred by internode paging.  When a parked
@@ -198,9 +201,6 @@ val crash_reset : t -> unit
     re-faults from scratch through a fresh manager request.  Called at
     rejoin, after the transports accept the node again. *)
 val redrive_pending : t -> unit
-
-(** Faults currently parked on a manager reply (for tests). *)
-val pending_faults : t -> int
 
 (** The (object, page) keys of those parked faults, sorted — the
     recovery layer marks them as recovering so rejoin latency can be

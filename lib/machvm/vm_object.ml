@@ -46,7 +46,6 @@ let remove t ~page = Int_tbl.remove t.resident page
 let resident_pages t =
   Int_tbl.fold (fun page _ acc -> page :: acc) t.resident [] |> List.sort compare
 
-let resident_count t = Int_tbl.length t.resident
 
 let page_version t page =
   match Int_tbl.find_opt t.page_versions page with Some v -> v | None -> 0

@@ -48,7 +48,6 @@ val install : t -> page:int -> frame -> unit
 
 val remove : t -> page:int -> unit
 val resident_pages : t -> int list
-val resident_count : t -> int
 
 val page_version : t -> int -> int
 val set_page_version : t -> int -> int -> unit

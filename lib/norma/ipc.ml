@@ -19,11 +19,7 @@ let default_config =
 
 let page_bytes = 8192
 
-type 'msg port = {
-  id : int;
-  node : int;
-  handler : 'msg port -> 'msg -> unit;
-}
+type 'msg port = { node : int; handler : 'msg port -> 'msg -> unit }
 
 type 'msg dead_letter =
   src:int -> dst:int -> src_dead:bool -> dst_dead:bool -> 'msg -> unit
@@ -31,33 +27,24 @@ type 'msg dead_letter =
 type 'msg t = {
   net : Network.t;
   config : config;
-  mutable next_port : int;
   mutable messages : int;
   mutable page_messages : int;
   mutable on_dead_letter : 'msg dead_letter option;
-  mutable n_dead_letters : int;
 }
 
 let create net config =
   {
     net;
     config;
-    next_port = 0;
     messages = 0;
     page_messages = 0;
     on_dead_letter = None;
-    n_dead_letters = 0;
   }
 
 let set_on_dead_letter t f = t.on_dead_letter <- f
 
-let port t ~node ~handler =
-  let id = t.next_port in
-  t.next_port <- id + 1;
-  { id; node; handler }
-
+let port _t ~node ~handler = { node; handler }
 let port_node p = p.node
-let port_id p = p.id
 
 (* Same liveness discipline as STS (see lib/sts): endpoints' crash
    incarnations are captured at send time and re-checked when the
@@ -68,14 +55,13 @@ let endpoint_dead t node inc =
   Network.is_down t.net node || Network.incarnation t.net node <> inc
 
 let dead_letter t ~src ~dst ~src_dead ~dst_dead msg =
-  t.n_dead_letters <- t.n_dead_letters + 1;
   match t.on_dead_letter with
   | None -> ()
   | Some f ->
     Asvm_simcore.Engine.schedule (Network.engine t.net) ~delay:0. (fun () ->
         f ~src ~dst ~src_dead ~dst_dead msg)
 
-let send t ~src ~dst ?(carries_page = false) ?(rights = 1) msg =
+let send t ~src ~dst ~carries_page ?(rights = 1) msg =
   if Network.is_down t.net src then ()
   else begin
     t.messages <- t.messages + 1;
@@ -103,4 +89,3 @@ let send t ~src ~dst ?(carries_page = false) ?(rights = 1) msg =
 
 let messages t = t.messages
 let page_messages t = t.page_messages
-let dead_letters t = t.n_dead_letters

@@ -30,13 +30,12 @@ val create : Asvm_mesh.Network.t -> config -> 'msg t
 val port : 'msg t -> node:int -> handler:('msg port -> 'msg -> unit) -> 'msg port
 
 val port_node : 'msg port -> int
-val port_id : 'msg port -> int
 
-(** [send t ~src ~dst ?carries_page ?rights msg] queues [msg] for
+(** [send t ~src ~dst ~carries_page ?rights msg] queues [msg] for
     delivery to [dst]'s handler. [carries_page] adds an 8 KB payload;
     [rights] is the number of port rights moved in the message. *)
 val send :
-  'msg t -> src:int -> dst:'msg port -> ?carries_page:bool -> ?rights:int -> 'msg -> unit
+  'msg t -> src:int -> dst:'msg port -> carries_page:bool -> ?rights:int -> 'msg -> unit
 
 (** {1 Crash support (see [docs/AVAILABILITY.md])}
 
@@ -51,9 +50,6 @@ type 'msg dead_letter =
   src:int -> dst:int -> src_dead:bool -> dst_dead:bool -> 'msg -> unit
 
 val set_on_dead_letter : 'msg t -> 'msg dead_letter option -> unit
-
-(** Undeliverable messages diverted to the dead-letter hook so far. *)
-val dead_letters : 'msg t -> int
 
 (** Messages sent so far (for protocol-economy comparisons). *)
 val messages : 'msg t -> int

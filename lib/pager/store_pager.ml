@@ -22,7 +22,6 @@ type t = {
   station : Station.t;
   table : entry Pair_tbl.t;  (* (obj, page) -> entry *)
   mutable supplies : int;
-  mutable cleans : int;
   mutable stores : int;
 }
 
@@ -35,7 +34,6 @@ let create engine ~node ~disk config =
     station = Station.create engine;
     table = Pair_tbl.create 256;
     supplies = 0;
-    cleans = 0;
     stores = 0;
   }
 
@@ -75,13 +73,11 @@ let remember t ~obj ~page ~contents =
       { data = Contents.snapshot contents; on_disk_only = false }
 
 let clean t ~obj ~page ~contents k =
-  t.cleans <- t.cleans + 1;
   remember t ~obj ~page ~contents;
   Station.submit t.station ~service:t.config.store_ms (fun () ->
       Disk.write t.disk k)
 
 let store_async t ~obj ~page ~contents =
-  t.cleans <- t.cleans + 1;
   t.stores <- t.stores + 1;
   remember t ~obj ~page ~contents;
   Station.submit t.station ~service:t.config.store_ms (fun () ->
@@ -106,5 +102,4 @@ let as_backing t =
   }
 
 let supplies t = t.supplies
-let cleans t = t.cleans
 let stores t = t.stores

@@ -79,10 +79,8 @@ val store_async :
 (** View this pager as the kernel's anonymous-memory backing store. *)
 val as_backing : t -> Asvm_machvm.Backing.t
 
-(** Pages supplied / cleaned so far. *)
+(** Pages supplied so far. *)
 val supplies : t -> int
-
-val cleans : t -> int
 
 (** Pages returned into the store by the eviction path ({!store_async}
     and the kernel backing-store interface) — the pageout-daemon /

@@ -1,11 +1,6 @@
-type t = {
-  engine : Engine.t;
-  mutable free_at : float;
-  mutable busy_total : float;
-  mutable jobs : int;
-}
+type t = { engine : Engine.t; mutable free_at : float }
 
-let create engine = { engine; free_at = 0.; busy_total = 0.; jobs = 0 }
+let create engine = { engine; free_at = 0. }
 
 let submit t ~service k =
   if not (Float.is_finite service) || service < 0. then
@@ -13,12 +8,6 @@ let submit t ~service k =
   let now = Engine.now t.engine in
   let start = Float.max now t.free_at in
   t.free_at <- start +. service;
-  t.busy_total <- t.busy_total +. service;
-  t.jobs <- t.jobs + 1;
   Engine.schedule_at t.engine ~time:t.free_at k
 
 let busy_until t = Float.max t.free_at (Engine.now t.engine)
-
-let busy_total t = t.busy_total
-
-let jobs t = t.jobs

@@ -17,9 +17,3 @@ val submit : t -> service:float -> (unit -> unit) -> unit
 
 (** Time at which the server will next be idle (>= now). *)
 val busy_until : t -> float
-
-(** Total service time ever accepted, for utilization accounting. *)
-val busy_total : t -> float
-
-(** Number of jobs ever submitted. *)
-val jobs : t -> int

@@ -121,7 +121,6 @@ type 'msg t = {
   handles : handles;
   trace : Trace.t option;
   mutable on_dead_letter : 'msg dead_letter option;
-  mutable n_dead_letters : int;
 }
 
 let create ?(metrics = Metrics.Registry.create ()) ?trace net config =
@@ -159,7 +158,6 @@ let create ?(metrics = Metrics.Registry.create ()) ?trace net config =
       };
     trace;
     on_dead_letter = None;
-    n_dead_letters = 0;
   }
 
 let register t ~node handler = t.handlers.(node) <- Some handler
@@ -223,7 +221,6 @@ let endpoint_dead t node inc =
    may detect a dead destination while the caller is mid-operation, and
    the salvage hook must not reenter protocol state being updated. *)
 let dead_letter t ~src ~dst ~src_dead ~dst_dead msg =
-  t.n_dead_letters <- t.n_dead_letters + 1;
   note t ~node:src ~category:"sts.dead_letter" "dst=%d src_dead=%b dst_dead=%b"
     dst src_dead dst_dead;
   match t.on_dead_letter with
@@ -357,7 +354,7 @@ let count_send t ~carries_page =
     ~by:(t.config.header_bytes + if carries_page then page_bytes else 0)
     h.h_bytes
 
-let send t ~src ~dst ?(carries_page = false) msg =
+let send t ~src ~dst ~carries_page msg =
   (* A dead node sends nothing: protocol closures scheduled before the
      crash may still run, but their messages die silently here. *)
   if Network.is_down t.net src then ()
@@ -458,7 +455,6 @@ let crash_node t ~node =
 
 let page_messages t = Metrics.Counter.value t.handles.h_msgs_page
 let messages t = Metrics.Counter.value t.handles.h_msgs_plain + page_messages t
-let dead_letters t = t.n_dead_letters
 
 let retransmits t =
   match t.reliable with

@@ -105,14 +105,16 @@ val create :
     before any [send] targets it. *)
 val register : 'msg t -> node:int -> ('msg -> unit) -> unit
 
-(** [send t ~src ~dst ?carries_page msg] delivers [msg] to [dst]'s
-    handler after transport costs.  Counted once as a logical message
-    regardless of how often the reliability layer retransmits it.
+(** [send t ~src ~dst ~carries_page msg] delivers [msg] to [dst]'s
+    handler after transport costs; [carries_page] adds the 8 KB page
+    payload, and is the protocol's own function of [msg].  Counted once
+    as a logical message regardless of how often the reliability layer
+    retransmits it.
     @raise Protocol_violation if [dst] has no registered handler.
     @raise Protocol_violation if [carries_page] and no buffer is
     reserved at [dst] (flow-control violation: pages only flow on
     behalf of a request). *)
-val send : 'msg t -> src:int -> dst:int -> ?carries_page:bool -> 'msg -> unit
+val send : 'msg t -> src:int -> dst:int -> carries_page:bool -> 'msg -> unit
 
 (** [acquire_buffer t ~node k] reserves a preallocated page receive
     buffer at [node] for a request whose answer carries page contents,
@@ -163,9 +165,6 @@ val set_on_dead_letter : 'msg t -> 'msg dead_letter option -> unit
     or was to receive.  The caller must already have marked the node
     down in the mesh registry. *)
 val crash_node : 'msg t -> node:int -> unit
-
-(** Undeliverable messages diverted to the dead-letter hook so far. *)
-val dead_letters : 'msg t -> int
 
 (** Logical messages sent (excluding acks and retransmissions). *)
 val messages : 'msg t -> int

@@ -8,7 +8,15 @@ module Ids = Asvm_machvm.Ids
 module Store_pager = Asvm_pager.Store_pager
 module Metrics = Asvm_obs.Metrics
 module Trace = Asvm_obs.Trace
+module Msg_meter = Asvm_obs.Msg_meter
 module Int_tbl = Asvm_simcore.Int_tbl
+
+(* The Mach pager-interface call a local IPC hop with the user-level
+   pager task models. *)
+type pager_call =
+  | Data_request  (** memory_object_data_request, to the pager *)
+  | Data_supply  (** memory_object_data_supply, back with the page *)
+  | Data_write  (** memory_object_data_write, a dirty page to the pager *)
 
 (* XMMI: the XMM-internal protocol, an extension of EMMI carried over
    NORMA-IPC. *)
@@ -22,9 +30,9 @@ type msg =
     }
   | Lock of { obj : Ids.obj_id; page : int; max_access : Prot.t; clean : bool }
   | Lock_done of {
-      node : int;
       obj : Ids.obj_id;
       page : int;
+      clean : bool;  (** echo of the [Lock]'s: a writer recall *)
       contents : Contents.t option;
     }
   | Supply of {
@@ -43,7 +51,7 @@ type msg =
     }
   | Fork_request of { dst_node : int; dst_obj : Ids.obj_id; page : int }
   | Fork_supply of { dst_obj : Ids.obj_id; page : int; contents : Contents.t }
-  | Pager_hop of { cont : int; obj : Ids.obj_id; page : int }
+  | Pager_hop of { cont : int; call : pager_call; obj : Ids.obj_id; page : int }
       (** local Mach IPC with the user-level pager task about [page] of
           [obj]; modeled as a loopback NORMA message so the manager
           node's send/receive stations are honestly occupied *)
@@ -69,20 +77,6 @@ type mstate = {
   m_waits : wait Int_tbl.t;
 }
 
-(* Metric handles (see docs/PERFORMANCE.md): like the ASVM side, the
-   send path resolves each [xmm.msgs] series to its Counter.t once
-   (first use) and pays an array load per message afterwards; the
-   fixed-cardinality series resolve eagerly at [create]. *)
-type handles = {
-  hm_msgs : Metrics.Counter.t option array;
-      (* xmm.msgs{class,group,contents}: row * 3 + contents index *)
-  hm_ot : Metrics.Counter.t option array;
-      (* xmm.msgs.ownership_transfer{msg,contents}, transfer rows only *)
-  hm_fault_read : Metrics.Histogram.t;
-  hm_fault_ownership : Metrics.Histogram.t;
-  hm_recovery : Metrics.Histogram.t;  (* xmm.recovery_ms *)
-}
-
 type export = { e_src_node : int; e_src_task : Ids.task_id }
 
 type fork_pool = {
@@ -96,15 +90,13 @@ type t = {
   net : Network.t;
   vms : Vm.t array;
   words_per_page : int;
-  header_bytes : int;
   mutable ports : msg Ipc.port array;
   managers : mstate Int_tbl.t;
   exports : export Int_tbl.t;
   pools : fork_pool array;
   conts : (unit -> unit) Int_tbl.t;
   mutable next_cont : int;
-  metrics : Metrics.Registry.t;
-  handles : handles;
+  meter : msg Msg_meter.t;
   trace : Trace.t option;
   (* (obj, page, origin) -> simulated time the fault left the kernel;
      feeds the xmm.fault_ms latency histogram *)
@@ -145,92 +137,53 @@ let manager_for t obj =
 
 (* Fixed (class, group) rows of the [xmm.msgs] series — the accounting
    buckets match the ASVM side, so the paper's Table 1 counts can be
-   compared label for label.  A [Lock] participates in an ownership
-   transfer when it recalls the current writer's copy ([clean = true],
-   XMM's clean-at-pager step) but is an invalidation when it merely
-   flushes read copies.  [Lock_done] and the pager hops depend on what
-   they answer, so their senders pass the row explicitly. *)
+   compared label for label.  A [Lock] and its [Lock_done] take part in
+   an ownership transfer when they recall the current writer's copy
+   ([clean = true], XMM's clean-at-pager step) but are an invalidation
+   when they merely flush read copies; a pager hop's row is the
+   pager-interface call it models. *)
 let msg_rows =
   [|
-    ("request", "transfer");  (* 0 *)
-    ("lock", "transfer");  (* 1: clean recall of the writer's copy *)
-    ("lock", "invalidation");  (* 2: read-copy flush *)
-    ("lock_done", "transfer");  (* 3 *)
-    ("lock_done", "invalidation");  (* 4 *)
-    ("supply", "transfer");  (* 5 *)
-    ("grant", "transfer");  (* 6 *)
-    ("returned", "pageout");  (* 7 *)
-    ("fork_request", "copy");  (* 8 *)
-    ("fork_supply", "copy");  (* 9 *)
-    ("pager_hop", "pager");  (* 10 *)
-    ("pager_request", "pager");  (* 11: data_request to the pager task *)
-    ("pager_supply", "pager");  (* 12: data_supply back *)
-    ("pager_write", "transfer");  (* 13: data_write in the critical path *)
+    ("request", "transfer");
+    ("lock", "transfer");
+    ("lock", "invalidation");
+    ("lock_done", "transfer");
+    ("lock_done", "invalidation");
+    ("supply", "transfer");
+    ("grant", "transfer");
+    ("returned", "pageout");
+    ("fork_request", "copy");
+    ("fork_supply", "copy");
+    ("pager_request", "pager");
+    ("pager_supply", "pager");
+    ("pager_write", "transfer");  (* in the transfer's critical path *)
   |]
-
-let row_pager_hop = 10
-let row_pager_request = 11
-let row_pager_supply = 12
-let row_pager_write = 13
-let row_lock_done ~clean = if clean then 3 else 4
 
 let row_of_msg = function
   | Request _ -> 0
   | Lock { clean = true; _ } -> 1
   | Lock { clean = false; _ } -> 2
-  | Lock_done _ -> 3
+  | Lock_done { clean = true; _ } -> 3
+  | Lock_done { clean = false; _ } -> 4
   | Supply _ -> 5
   | Grant _ -> 6
   | Returned _ -> 7
   | Fork_request _ -> 8
   | Fork_supply _ -> 9
-  | Pager_hop _ -> row_pager_hop
+  | Pager_hop { call = Data_request; _ } -> 10
+  | Pager_hop { call = Data_supply; _ } -> 11
+  | Pager_hop { call = Data_write; _ } -> 12
 
-let row_is_transfer = Array.map (fun (_, g) -> g = "transfer") msg_rows
-let contents_labels = [| "none"; "local"; "wire" |]
-
-let make_handles metrics =
-  {
-    hm_msgs = Array.make (Array.length msg_rows * 3) None;
-    hm_ot = Array.make (Array.length msg_rows * 3) None;
-    hm_fault_read =
-      Metrics.Registry.histogram metrics "xmm.fault_ms"
-        ~labels:[ ("kind", "read") ];
-    hm_fault_ownership =
-      Metrics.Registry.histogram metrics "xmm.fault_ms"
-        ~labels:[ ("kind", "ownership") ];
-    hm_recovery = Metrics.Registry.histogram metrics "xmm.recovery_ms";
-  }
-
-let msgs_counter t row ci =
-  let idx = (row * 3) + ci in
-  match t.handles.hm_msgs.(idx) with
-  | Some c -> c
-  | None ->
-    let cls, group = msg_rows.(row) in
-    let c =
-      Metrics.Registry.counter t.metrics "xmm.msgs"
-        ~labels:
-          [ ("class", cls); ("group", group);
-            ("contents", contents_labels.(ci)) ]
-    in
-    t.handles.hm_msgs.(idx) <- Some c;
-    c
-
-let ot_counter t row ci =
-  let idx = (row * 3) + ci in
-  match t.handles.hm_ot.(idx) with
-  | Some c -> c
-  | None ->
-    let cls, _ = msg_rows.(row) in
-    let c =
-      Metrics.Registry.counter t.metrics "xmm.msgs.ownership_transfer"
-        ~labels:[ ("msg", cls); ("contents", contents_labels.(ci)) ]
-    in
-    t.handles.hm_ot.(idx) <- Some c;
-    c
-
-let page_bytes = 8192
+(* Whether page contents ride along: supplies, evictions and dirty
+   recalls — a property of the message alone. *)
+let carries_page = function
+  | Lock_done { contents; _ } -> Option.is_some contents
+  | Supply _ | Returned _ | Fork_supply _
+  | Pager_hop { call = Data_supply | Data_write; _ } ->
+    true
+  | Request _ | Lock _ | Grant _ | Fork_request _
+  | Pager_hop { call = Data_request; _ } ->
+    false
 
 (* The object and page a message concerns, for its trace event. *)
 let subject_of_msg = function
@@ -245,56 +198,31 @@ let subject_of_msg = function
   | Pager_hop { obj; page; _ } ->
     (obj, page)
 
-let send t ~src ~dst_node ?carries_page ?row msg =
-  let with_page = carries_page = Some true in
-  let row = match row with Some r -> r | None -> row_of_msg msg in
-  let ci = if not with_page then 0 else if src = dst_node then 1 else 2 in
-  Metrics.Counter.incr (msgs_counter t row ci);
-  if row_is_transfer.(row) then Metrics.Counter.incr (ot_counter t row ci);
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-    let cls, group = msg_rows.(row) in
-    let obj, page = subject_of_msg msg in
-    Trace.emit tr ~time:(now t) ~node:src
-      (Trace.Msg
-         {
-           proto = "xmm";
-           cls;
-           group;
-           obj;
-           page;
-           src;
-           dst = dst_node;
-           carries_page = with_page;
-           bytes = (t.header_bytes + if with_page then page_bytes else 0);
-         }));
-  Ipc.send t.ipc ~src ~dst:t.ports.(dst_node) ?carries_page msg
+let send t ~src ~dst_node msg =
+  let carries_page = carries_page msg in
+  Msg_meter.message t.meter ~src ~dst:dst_node ~carries_page msg;
+  Ipc.send t.ipc ~src ~dst:t.ports.(dst_node) ~carries_page msg
 
 (* One hop of local IPC between the kernel-resident XMM stack and the
-   user-level pager task of manager [ms], about [page].  [row] names
-   the Mach pager-interface call the hop models (data_request /
-   data_supply / data_write). *)
-let pager_hop t ms ~page ~carries_page ~row k =
+   user-level pager task of manager [ms], about [page]. *)
+let pager_hop t ms ~page ~call k =
   let id = t.next_cont in
   t.next_cont <- id + 1;
   Int_tbl.add t.conts id k;
-  send t ~src:ms.m_node ~dst_node:ms.m_node ~carries_page ~row
-    (Pager_hop { cont = id; obj = ms.m_obj; page })
+  send t ~src:ms.m_node ~dst_node:ms.m_node
+    (Pager_hop { cont = id; call; obj = ms.m_obj; page })
 
 let observe_fault t ~obj ~page ~origin ~write =
   (match Hashtbl.find_opt t.recovering (obj, page, origin) with
   | None -> ()
   | Some t0 ->
     Hashtbl.remove t.recovering (obj, page, origin);
-    Metrics.Histogram.observe t.handles.hm_recovery (now t -. t0));
+    Msg_meter.recovery t.meter (now t -. t0));
   match Hashtbl.find_opt t.fault_starts (obj, page, origin) with
   | None -> ()
   | Some t0 ->
     Hashtbl.remove t.fault_starts (obj, page, origin);
-    Metrics.Histogram.observe
-      (if write then t.handles.hm_fault_ownership else t.handles.hm_fault_read)
-      (now t -. t0)
+    Msg_meter.fault t.meter ~ownership:write (now t -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Manager-side request processing                                    *)
@@ -406,12 +334,10 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
                  the origin as the page's only user. Local IPC to the
                  user-level pager task: request out, supply (with page)
                  back. *)
-              pager_hop t ms ~page ~carries_page:false
-                ~row:row_pager_request (fun () ->
+              pager_hop t ms ~page ~call:Data_request (fun () ->
                   Store_pager.request ms.m_pager ~obj ~page
                     ~words:t.words_per_page (fun contents ->
-                      pager_hop t ms ~page ~carries_page:true
-                        ~row:row_pager_supply (fun () ->
+                      pager_hop t ms ~page ~call:Data_supply (fun () ->
                           if origin_ok () then begin
                             Bytes.set (node_state ms origin) page
                               (if Prot.equal desired Prot.Read_write then
@@ -428,7 +354,6 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
                             end
                             else
                               send t ~src:ms.m_node ~dst_node:origin
-                                ~carries_page:true
                                 (Supply { obj; page; contents; lock = desired })
                           end;
                           unbusy t ms page)))))
@@ -471,8 +396,7 @@ let manager_lock_done t ms ~page ~contents =
        IPC carrying the page — Mach's memory_object_data_write, part of
        the transfer's critical path); the disk write is paid the first
        time the page is cleaned *)
-    pager_hop t ms ~page ~carries_page:true ~row:row_pager_write
-      (fun () ->
+    pager_hop t ms ~page ~call:Data_write (fun () ->
         if Bytes.get ms.m_cleaned page = '\000' then begin
           Bytes.set ms.m_cleaned page '\001';
           Store_pager.clean ms.m_pager ~obj:ms.m_obj ~page ~contents:c
@@ -503,7 +427,7 @@ let handle_lock t ~node ~obj ~page ~max_access ~clean =
      manager a Lock_done.  If the node crashes inside the window,
      [crash_node] synthesizes the owed (empty) reply so the manager's
      wait resolves — the copy is simply gone. *)
-  let owed = (node, ms.m_node, Lock_done { node; obj; page; contents = None }) in
+  let owed = (node, ms.m_node, Lock_done { obj; page; clean; contents = None }) in
   t.owed <- owed :: t.owed;
   let inc = Network.incarnation t.net node in
   Vm.lock_request vm ~obj ~page
@@ -519,10 +443,7 @@ let handle_lock t ~node ~obj ~page ~max_access ~clean =
           | Emmi.Lock_done { returned } -> returned
           | Emmi.Lock_not_present -> None
         in
-        send t ~src:node ~dst_node:ms.m_node
-          ~carries_page:(Option.is_some contents)
-          ~row:(row_lock_done ~clean)
-          (Lock_done { node; obj; page; contents })
+        send t ~src:node ~dst_node:ms.m_node (Lock_done { obj; page; clean; contents })
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -569,7 +490,7 @@ let handle_fork_request t ~dst_node ~dst_obj ~page =
               match Vm.page_contents vm ~task:e.e_src_task ~vpage:page with
               | Some contents ->
                 pool_release pool;
-                send t ~src:e.e_src_node ~dst_node ~carries_page:true
+                send t ~src:e.e_src_node ~dst_node
                   (Fork_supply { dst_obj; page; contents })
               | None -> attempt ())
       in
@@ -585,7 +506,7 @@ let handle t node msg =
     manager_request t (manager_for t obj) ~origin ~page ~desired ~upgrade
   | Lock { obj; page; max_access; clean } ->
     handle_lock t ~node ~obj ~page ~max_access ~clean
-  | Lock_done { node = _from; obj; page; contents } ->
+  | Lock_done { obj; page; contents; _ } ->
     manager_lock_done t (manager_for t obj) ~page ~contents
   | Supply { obj; page; contents; lock } ->
     Vm.data_supply t.vms.(node) ~obj ~page ~contents ~lock
@@ -637,7 +558,6 @@ let create ~net ~ipc_config ~vms ~words_per_page ~fork_threads ?metrics ?trace
       net;
       vms;
       words_per_page;
-      header_bytes = ipc_config.Ipc.header_bytes;
       ports = [||];
       managers = Int_tbl.create 16;
       exports = Int_tbl.create 16;
@@ -646,8 +566,11 @@ let create ~net ~ipc_config ~vms ~words_per_page ~fork_threads ?metrics ?trace
             { limit = fork_threads; in_use = 0; waiting = Queue.create () });
       conts = Int_tbl.create 32;
       next_cont = 0;
-      metrics;
-      handles = make_handles metrics;
+      meter =
+        Msg_meter.create metrics ?trace
+          ~clock:(fun () -> Asvm_simcore.Engine.now (Network.engine net))
+          ~proto:"xmm" ~header_bytes:ipc_config.Ipc.header_bytes ~rows:msg_rows
+          ~row_of:row_of_msg ~subject_of:subject_of_msg ();
       trace;
       fault_starts = Hashtbl.create 16;
       recovering = Hashtbl.create 16;
@@ -671,12 +594,12 @@ let create ~net ~ipc_config ~vms ~words_per_page ~fork_threads ?metrics ?trace
          end
          else
            match msg with
-           | Lock { obj; page; _ } ->
+           | Lock { obj; page; clean; _ } ->
              (* the recalled node crashed: its copy is gone, so answer
                 the manager with an empty Lock_done to resolve the wait
                 (the pager image is the coherent version) *)
              if not (Network.is_down t.net src) then
-               handle t src (Lock_done { node = dst; obj; page; contents = None })
+               handle t src (Lock_done { obj; page; clean; contents = None })
            | _ ->
              (* Supply / Grant / Fork_supply to a crashed kernel: dropped;
                 the node re-faults from the pager at rejoin *)
@@ -729,7 +652,7 @@ let register_shared_object t ~obj ~size_pages ~manager_node ~pager ~sharers =
                 Asvm_simcore.Engine.schedule engine ~delay:0.05 (fun () ->
                     manager_returned t ms ~node ~page ~contents ~dirty)
               else
-                send t ~src:node ~dst_node:manager_node ~carries_page:true
+                send t ~src:node ~dst_node:manager_node
                   (Returned { node; obj; page; contents; dirty }));
         }
       in

@@ -468,9 +468,7 @@ let test_forwarding_modes () =
 let test_forwarding_counters () =
   (* the redirector's layering is observable in its statistics *)
   let run fwd =
-    let config = Config.default ~nodes:4 in
-    let config = { config with asvm = { config.asvm with forwarding = fwd } } in
-    let cl = Cluster.create config in
+    let cl = Cluster.create (Config.default ~nodes:4) in
     let sharers = [ 0; 1; 2; 3 ] in
     let obj =
       Cluster.create_shared_object cl ~size_pages:4 ~sharers ~forwarding:fwd ()

@@ -177,7 +177,64 @@ let find_space_is_free =
 (* Reference model: each generation's view is a full array snapshot.
    Random interleavings of writes (at any generation) and forks (from
    any generation to a random node) must match it exactly. *)
-type op = Write of int * int * int | Fork of int * int | Read of int * int
+type op = Write of int * int | Fork of int * int | Read of int * int
+
+(* Run [ops] on 4 nodes under [mm]: task 0 copy-inherits a 3-page
+   private object on node 0, tasks are numbered in fork order, and the
+   n-th write stores n.  [Error] names the first fork that did not
+   complete or read that differs from the reference. *)
+let run_fork_ops mm ops =
+  let nodes = 4 in
+  let pages = 3 in
+  let words = pages * wpp in
+  let cl = Cluster.create (Config.with_mm (Config.default ~nodes) mm) in
+  let t0 = Cluster.create_task cl ~node:0 in
+  let obj = Cluster.create_private_object cl ~node:0 ~size_pages:pages in
+  Cluster.map cl ~task:t0 ~obj ~start:0 ~npages:pages
+    ~inherit_:Address_map.Inherit_copy;
+  let tasks = ref [| t0 |] in
+  let refs = ref [| Array.make words 0 |] in
+  let value = ref 0 in
+  let rec go = function
+    | [] -> Ok ()
+    | op :: rest -> (
+      let gens = Array.length !tasks in
+      match op with
+      | Write (g, addr) ->
+        let g = g mod gens in
+        incr value;
+        !refs.(g).(addr) <- !value;
+        let ok = ref false in
+        Cluster.write_word cl ~task:!tasks.(g) ~addr ~value:!value (fun () ->
+            ok := true);
+        Cluster.run cl;
+        if !ok then go rest
+        else Error (Printf.sprintf "task %d: write of word %d stuck" g addr)
+      | Fork (g, node) -> (
+        let g = g mod gens in
+        let child = ref None in
+        Cluster.fork cl ~task:!tasks.(g) ~dst_node:node (fun c -> child := Some c);
+        Cluster.run cl;
+        match !child with
+        | Some c ->
+          tasks := Array.append !tasks [| c |];
+          refs := Array.append !refs [| Array.copy !refs.(g) |];
+          go rest
+        | None -> Error (Printf.sprintf "task %d: fork to node %d stuck" g node))
+      | Read (g, addr) ->
+        let g = g mod gens in
+        let r = ref None in
+        Cluster.read_word cl ~task:!tasks.(g) ~addr (fun v -> r := Some v);
+        Cluster.run cl;
+        let expected = !refs.(g).(addr) in
+        if !r = Some expected then go rest
+        else
+          Error
+            (Printf.sprintf "task %d: word %d reads %s, expected %d" g addr
+               (match !r with Some v -> string_of_int v | None -> "nothing")
+               expected))
+  in
+  go ops
 
 let fork_semantics mm =
   let name =
@@ -189,63 +246,40 @@ let fork_semantics mm =
       small_list
         (triple (int_bound 2) (int_bound 5) (pair (int_bound 3) (int_bound 50))))
     (fun raw_ops ->
-      let nodes = 4 in
-      let pages = 3 in
-      let words = pages * wpp in
-      let cl = Cluster.create (Config.with_mm (Config.default ~nodes) mm) in
-      let t0 = Cluster.create_task cl ~node:0 in
-      let obj = Cluster.create_private_object cl ~node:0 ~size_pages:pages in
-      Cluster.map cl ~task:t0 ~obj ~start:0 ~npages:pages
-        ~inherit_:Address_map.Inherit_copy;
-      let tasks = ref [| t0 |] in
-      let refs = ref [| Array.make words 0 |] in
-      let value = ref 0 in
-      let sync_write task addr v =
-        let ok = ref false in
-        Cluster.write_word cl ~task ~addr ~value:v (fun () -> ok := true);
-        Cluster.run cl;
-        !ok
-      in
-      let sync_read task addr =
-        let r = ref None in
-        Cluster.read_word cl ~task ~addr (fun v -> r := Some v);
-        Cluster.run cl;
-        !r
-      in
-      let ops =
-        List.map
-          (fun (kind, gen_pick, (node, addr_pick)) ->
-            match kind with
-            | 0 -> Write (gen_pick, addr_pick mod words, 0)
-            | 1 -> Fork (gen_pick, node)
-            | _ -> Read (gen_pick, addr_pick mod words))
-          raw_ops
-      in
-      List.for_all
-        (fun op ->
-          let gens = Array.length !tasks in
-          match op with
-          | Write (g, addr, _) ->
-            let g = g mod gens in
-            incr value;
-            !refs.(g).(addr) <- !value;
-            sync_write !tasks.(g) addr !value
-          | Fork (g, node) ->
-            let g = g mod gens in
-            let child = ref None in
-            Cluster.fork cl ~task:!tasks.(g) ~dst_node:node (fun c ->
-                child := Some c);
-            Cluster.run cl;
-            (match !child with
-            | Some c ->
-              tasks := Array.append !tasks [| c |];
-              refs := Array.append !refs [| Array.copy !refs.(g) |];
-              true
-            | None -> false)
-          | Read (g, addr) ->
-            let g = g mod gens in
-            sync_read !tasks.(g) addr = Some !refs.(g).(addr))
-        ops)
+      let words = 3 * wpp in
+      run_fork_ops mm
+        (List.map
+           (fun (kind, gen_pick, (node, addr_pick)) ->
+             match kind with
+             | 0 -> Write (gen_pick, addr_pick mod words)
+             | 1 -> Fork (gen_pick, node)
+             | _ -> Read (gen_pick, addr_pick mod words))
+           raw_ops)
+      = Ok ())
+
+(* Minimized ASVM failures of the property above, all at the promotion
+   of a node-local copy to a distributed one ([Vm.unsplice_copy],
+   paper 3.7).  A: the older sibling copy, rebased onto the source,
+   must keep the frozen page it read through the promoted copy.  B: a
+   task that read through the promoted copy must not keep its
+   translation into the source's frame.  C: nor its translation into
+   the promoted copy's own frame, which a sibling then writes. *)
+let fork_case ops () =
+  Alcotest.(check (result unit string))
+    "reads match the reference" (Ok ())
+    (run_fork_ops Config.Mm_asvm ops)
+
+let fork_case_a =
+  [ Fork (0, 0); Fork (1, 2); Fork (1, 2); Write (1, 4); Fork (2, 0); Read (2, 4) ]
+
+let fork_case_b =
+  [ Fork (0, 2); Fork (1, 2); Read (2, 0); Fork (2, 0); Write (1, 6); Read (2, 6) ]
+
+let fork_case_c =
+  [
+    Fork (0, 0); Fork (1, 2); Fork (1, 2); Write (1, 4); Read (2, 4); Fork (2, 0);
+    Write (3, 5); Read (2, 5);
+  ]
 
 (* ----------------------- single-node VM model ----------------------- *)
 
@@ -476,7 +510,16 @@ let () =
           qtest find_space_is_free;
         ] );
       ( "fork semantics",
-        [ qtest (fork_semantics Config.Mm_asvm); qtest (fork_semantics Config.Mm_xmm) ] );
+        [
+          qtest (fork_semantics Config.Mm_asvm);
+          qtest (fork_semantics Config.Mm_xmm);
+          Alcotest.test_case "promotion keeps the older copy's frozen page"
+            `Quick (fork_case fork_case_a);
+          Alcotest.test_case "promotion drops translations into the source"
+            `Quick (fork_case fork_case_b);
+          Alcotest.test_case "promotion drops translations into the copy"
+            `Quick (fork_case fork_case_c);
+        ] );
       ("vm model", [ qtest vm_local_semantics ]);
       ("forwarding", [ Alcotest.test_case "zero caches" `Quick test_zero_caches ]);
       ( "robustness",

@@ -23,7 +23,7 @@ let test_norma_delivery () =
         got := Some (msg, Engine.now e))
   in
   Alcotest.(check int) "port node" 2 (Ipc.port_node p);
-  Ipc.send ipc ~src:0 ~dst:p "hello";
+  Ipc.send ipc ~src:0 ~dst:p ~carries_page:false "hello";
   Engine.run e;
   (match !got with
   | Some ("hello", t) ->
@@ -37,7 +37,7 @@ let test_norma_page_slower () =
   let t_hdr = ref 0. and t_page = ref 0. in
   let p1 = Ipc.port ipc ~node:1 ~handler:(fun _ () -> t_hdr := Engine.now e) in
   let p2 = Ipc.port ipc ~node:2 ~handler:(fun _ () -> t_page := Engine.now e) in
-  Ipc.send ipc ~src:0 ~dst:p1 ();
+  Ipc.send ipc ~src:0 ~dst:p1 ~carries_page:false ();
   Ipc.send ipc ~src:3 ~dst:p2 ~carries_page:true ();
   Engine.run e;
   Alcotest.(check bool) "page message costs more" true (!t_page > !t_hdr);
@@ -49,8 +49,8 @@ let test_norma_rights_cost () =
   let t1 = ref 0. and t5 = ref 0. in
   let p1 = Ipc.port ipc ~node:1 ~handler:(fun _ () -> t1 := Engine.now e) in
   let p2 = Ipc.port ipc ~node:2 ~handler:(fun _ () -> t5 := Engine.now e) in
-  Ipc.send ipc ~src:0 ~dst:p1 ~rights:1 ();
-  Ipc.send ipc ~src:3 ~dst:p2 ~rights:5 ();
+  Ipc.send ipc ~src:0 ~dst:p1 ~carries_page:false ~rights:1 ();
+  Ipc.send ipc ~src:3 ~dst:p2 ~carries_page:false ~rights:5 ();
   Engine.run e;
   Alcotest.(check bool) "port rights cost" true (!t5 > !t1)
 
@@ -62,7 +62,7 @@ let test_sts_delivery_and_economy () =
   let ipc = Ipc.create net Ipc.default_config in
   let t_sts = ref 0. in
   Sts.register sts ~node:1 (fun () -> t_sts := Engine.now e);
-  Sts.send sts ~src:0 ~dst:1 ();
+  Sts.send sts ~src:0 ~dst:1 ~carries_page:false ();
   Engine.run e;
   let t_norma = ref 0. in
   let e2, net2 = make () in
@@ -70,7 +70,7 @@ let test_sts_delivery_and_economy () =
   let ipc2 = Ipc.create net2 Ipc.default_config in
   ignore ipc;
   let p = Ipc.port ipc2 ~node:1 ~handler:(fun _ () -> t_norma := Engine.now e2) in
-  Ipc.send ipc2 ~src:0 ~dst:p ();
+  Ipc.send ipc2 ~src:0 ~dst:p ~carries_page:false ();
   Engine.run e2;
   Alcotest.(check bool)
     "STS is much cheaper than NORMA (paper: NORMA ~90% of fault latency)"
@@ -83,7 +83,7 @@ let test_sts_requires_handler () =
   Alcotest.check_raises "no handler"
     (Sts.Protocol_violation
        { node = 3; what = "send: no handler registered at destination" })
-    (fun () -> Sts.send sts ~src:0 ~dst:3 ())
+    (fun () -> Sts.send sts ~src:0 ~dst:3 ~carries_page:false ())
 
 let test_sts_flow_control () =
   let e, net = make () in
@@ -194,7 +194,7 @@ let test_sts_reliable_retransmit () =
   let sts = Sts.create net config in
   let got = ref 0 in
   Sts.register sts ~node:2 (fun () -> incr got);
-  Sts.send sts ~src:0 ~dst:2 ();
+  Sts.send sts ~src:0 ~dst:2 ~carries_page:false ();
   Engine.run e;
   Alcotest.(check int) "delivered exactly once" 1 !got;
   Alcotest.(check int) "one retransmission" 1 (Sts.retransmits sts);
@@ -218,7 +218,7 @@ let test_sts_reliable_dedup () =
   let got = ref 0 in
   Sts.register sts ~node:1 (fun () -> incr got);
   for _ = 1 to 3 do
-    Sts.send sts ~src:0 ~dst:1 ()
+    Sts.send sts ~src:0 ~dst:1 ~carries_page:false ()
   done;
   Engine.run e;
   Alcotest.(check int) "each logical message delivered once" 3 !got;
@@ -242,7 +242,7 @@ let test_sts_reliable_gives_up () =
   in
   let sts = Sts.create net config in
   Sts.register sts ~node:1 ignore;
-  Sts.send sts ~src:0 ~dst:1 ();
+  Sts.send sts ~src:0 ~dst:1 ~carries_page:false ();
   Alcotest.check_raises "link declared broken"
     (Sts.Protocol_violation
        {
@@ -259,7 +259,7 @@ let test_sts_message_ordering_per_pair () =
   let log = ref [] in
   Sts.register sts ~node:2 (fun i -> log := i :: !log);
   for i = 1 to 5 do
-    Sts.send sts ~src:0 ~dst:2 i
+    Sts.send sts ~src:0 ~dst:2 ~carries_page:false i
   done;
   Engine.run e;
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] (List.rev !log)
