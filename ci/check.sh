@@ -105,6 +105,29 @@ for seed in 32 44 88 111; do
     --duration-ms 200 --seed "$seed"
 done
 
+echo "== golden traces against ci/traces.sha256"
+# the --trace-out JSONL of two single faults and two serve cells, one
+# per protocol, is a pure function of the source: every message, note
+# and ownership change in order.  A refactor must leave all four
+# byte-identical; when a change of behaviour is intended, regenerate
+# the digests with these same commands (sha256sum in the trace
+# directory) and commit them.
+traces=$(mktemp -d)
+dune exec bin/asvm_sim.exe -- fault --mm asvm \
+  --trace-out "$traces/fault-asvm.jsonl" >/dev/null
+dune exec bin/asvm_sim.exe -- fault --mm xmm \
+  --trace-out "$traces/fault-xmm.jsonl" >/dev/null
+dune exec bin/asvm_sim.exe -- serve --nodes 16 \
+  --trace-out "$traces/serve-asvm-16.jsonl" >/dev/null
+dune exec bin/asvm_sim.exe -- serve --mm xmm --nodes 8 \
+  --trace-out "$traces/serve-xmm-8.jsonl" >/dev/null
+if ! (cd "$traces" && sha256sum -c --quiet -) <ci/traces.sha256 >&2; then
+  echo "golden traces: a trace differs from ci/traces.sha256" >&2
+  rm -rf "$traces"
+  exit 1
+fi
+rm -rf "$traces"
+
 echo "== paper experiments (--quick, 2 jobs) against ci/bench_quick.expected"
 # Tables 1-3, Figures 10-11 and the ablations at quick sizes; bechamel
 # is left out because it times the host, not the simulator.  Every

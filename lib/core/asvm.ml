@@ -33,12 +33,13 @@ let default_config =
 
 (* Static-manager hints (paper figure 6): besides a node reference, the
    cache can record that a page was never initialized (fresh) or has
-   been paged out (paged).  A node reference also names the fault
-   generation at [owner] that the hint designates as the page's next
-   owner ([-1] once that node owns the page, or when no particular
-   fault is meant): a request the manager forwards on it may park only
-   behind that exact fault (see [route_request]). *)
-type shint = S_at of { owner : int; gen : int } | S_fresh | S_paged
+   been paged out (paged).  A node reference names one crash
+   incarnation of [owner] — an entry about an incarnation that has
+   since crashed is no entry at all — and the fault generation at
+   [owner] that the hint designates as the page's next owner ([-1] once
+   that node owns the page): a request the manager forwards on it may
+   park only behind that exact fault (see [route_request]). *)
+type shint = S_at of { owner : int; inc : int; gen : int } | S_fresh | S_paged
 
 type rkind = K_fault | K_pull | K_push_scan
 
@@ -50,16 +51,13 @@ type request = {
   r_want : Prot.t;
   r_upgrade : bool;
   r_scan_home : Ids.obj_id;  (** for push scans: source object waiting *)
-  mutable r_hops : int;
   mutable r_ring : int;  (** -1 = not sweeping; else the sweep's start node *)
   mutable r_directed : int;
       (** the fault generation at the receiving node that a designating
           authority (static-manager table, pager grant table, or an
           owner handing on its queue) named as the page's next owner;
           the receiver parks the request only behind that fault.  [-1]
-          = not directed, set by every other forwarding hop;
-          [by_table] = handed to the static manager by a faulting
-          node. *)
+          = not directed, set by every other forwarding hop. *)
   r_kind : rkind;
   r_origin_inc : int;
       (** the origin's crash incarnation when the request was issued: a
@@ -69,9 +67,8 @@ type request = {
       (** fault generation at the origin, echoed back in the reply.  A
           crash-recovery re-drive bumps the generation so answers to the
           superseded request are discarded instead of double-consuming
-          the origin's receive-buffer reservation.  [-1] = not
-          generation-checked (push scans, local-upgrade requests and
-          kernel retries, which never re-drive). *)
+          the origin's receive-buffer reservation.  [-1] on push scans,
+          which are not faults. *)
 }
 
 type msg =
@@ -108,7 +105,8 @@ type msg =
       stamp : int;  (** the sender's [i_stamp] when it revoked *)
     }
   | A_inval_ack of { obj : Ids.obj_id; page : int }
-  | A_owner_update of { obj : Ids.obj_id; page : int; hint : shint }
+  | A_owner_update of { obj : Ids.obj_id; page : int; hint : shint; seq : int }
+      (** [seq]: the update's number ([record_static]) *)
   | A_reader_query of {
       obj : Ids.obj_id;
       page : int;
@@ -184,6 +182,7 @@ type msg =
       page : int;
       want : Prot.t;
       upgrade : bool;
+      gen : int;  (** the retried fault's [r_gen] *)
     }
 
 (* Owner-side state for one page. Its existence in [i_pages] means this
@@ -231,7 +230,7 @@ type inst = {
   mutable i_copies : (Ids.obj_id * int) list;
   i_pages : pstate Int_tbl.t;
   i_dyn : int Hint_cache.t;
-  i_static : shint Hint_cache.t;
+  i_static : (shint * int) Hint_cache.t;  (** with each entry's [seq] *)
   i_seen : Bytes.t;  (** static-manager role: page ever had an owner *)
   mutable i_pageout_counter : int;
   mutable i_last_acceptor : int option;
@@ -289,6 +288,7 @@ type t = {
      (dead-letter re-drive or rejoin re-drive); completion of the fresh
      fault samples the asvm.recovery_ms histogram *)
   recovering : (int * Ids.obj_id * int, float) Hashtbl.t;
+  mutable updates : int;  (* static-table updates made so far *)
 }
 
 let now t = Engine.now (Vm.engine t.vms.(0))
@@ -426,14 +426,12 @@ let count_rows =
   let pageout step = ("asvm.pageout", [ ("step", step) ]) in
   let crash event = ("asvm.crash", [ ("event", event) ]) in
   [|
-    ("forward.loop_breaks", fwd "loop_break");
     ("forward.dynamic", fwd "dynamic");
     ("forward.to_static", fwd "to_static");
     ("forward.static_hit", fwd "static_hit");
     ("forward.fresh_hint", fwd "fresh_hint");
     ("forward.paged_hint", fwd "paged_hint");
     ("forward.global_sweeps", fwd "global_sweep");
-    ("forward.escalations", fwd "escalation");
     ("ownership_transfers", ("asvm.ownership_transfers", []));
     ("invalidations", ("asvm.invalidations", []));
     ("zero_grants", ("asvm.zero_grants", []));
@@ -456,34 +454,32 @@ let count_rows =
     ("revoked_reads", ("asvm.revoked_reads", []));
   |]
 
-let c_loop_break = 0
-let c_dynamic = 1
-let c_to_static = 2
-let c_static_hit = 3
-let c_fresh_hint = 4
-let c_paged_hint = 5
-let c_global_sweep = 6
-let c_escalation = 7
-let c_ownership_transfer = 8
-let c_invalidation = 9
-let c_zero_grant = 10
-let c_pager_supply = 11
-let c_push = 12
-let c_push_scan = 13
-let c_pull = 14
-let c_copy_retry = 15
-let c_reader_handoff = 16
-let c_internode_pageout = 17
-let c_pageout_to_pager = 18
-let c_reelection = 19
-let c_redrive = 20
-let c_salvaged = 21
-let c_rescued_page = 22
-let c_stale_request = 23
-let c_stale_reply = 24
-let c_lost_grant = 25
-let c_lost_page = 26
-let c_revoked_read = 27
+let c_dynamic = 0
+let c_to_static = 1
+let c_static_hit = 2
+let c_fresh_hint = 3
+let c_paged_hint = 4
+let c_global_sweep = 5
+let c_ownership_transfer = 6
+let c_invalidation = 7
+let c_zero_grant = 8
+let c_pager_supply = 9
+let c_push = 10
+let c_push_scan = 11
+let c_pull = 12
+let c_copy_retry = 13
+let c_reader_handoff = 14
+let c_internode_pageout = 15
+let c_pageout_to_pager = 16
+let c_reelection = 17
+let c_redrive = 18
+let c_salvaged = 19
+let c_rescued_page = 20
+let c_stale_request = 21
+let c_stale_reply = 22
+let c_lost_grant = 23
+let c_lost_page = 24
+let c_revoked_read = 25
 
 let count ?by t c = Metrics.Counter.incr ?by t.counts.(c)
 
@@ -505,17 +501,26 @@ let trace_ownership t ~obj ~page ~owner =
   | Some tr ->
     Trace.emit tr ~time:(now t) ~node:owner (Trace.Ownership { obj; page; owner })
 
-(* A routing decision about one request (parked, escalated at the
-   pager, re-asked after a revoked read, dropped as stale) as a trace
-   note.  Parking is common under load, so an untraced run skips even
-   consuming the format's arguments. *)
-let note_request t ~node ~category req =
+(* A routing decision about one request (parked, swept, re-asked after
+   a revoked read, dropped as stale) as a trace note; [reason], when
+   given, ends the detail.  Parking is common under load, so an
+   untraced run skips even consuming the format's arguments. *)
+let note_request ?(reason = "") t ~node ~category req =
   if Option.is_some t.trace then
     Trace.note t.trace ~time:(now t) ~node ~category
-      "obj=%d page=%d origin=%d gen=%d" req.r_obj req.r_page req.r_origin
+      "obj=%d page=%d origin=%d gen=%d%s" req.r_obj req.r_page req.r_origin
       req.r_gen
+      (if reason = "" then "" else " reason=" ^ reason)
 
 let static_mgr i page = i.i_sharers.(page mod Array.length i.i_sharers)
+
+(* [node] is up and still the crash incarnation [inc]. *)
+let current t node inc =
+  (not (Network.is_down t.net node)) && Network.incarnation t.net node = inc
+
+(* The static hint for a page [node] owns. *)
+let owned_by t node =
+  S_at { owner = node; inc = Network.incarnation t.net node; gen = -1 }
 
 (* the pager responsible for a page: round-robin across the object's
    pager tasks (one pager for ordinary objects; several for striped
@@ -566,18 +571,52 @@ let new_pstate ~version =
     p_ack_k = ignore;
   }
 
+(* A plain lock request: lower the kernel's access to [page]. *)
+let lock_plain vm ~obj ~page access ~reply =
+  Vm.lock_request vm ~obj ~page
+    ~op:{ Emmi.max_access = access; clean = false; mode = Emmi.Lock_plain }
+    ~reply
+
+(* This node receives ownership of [page]: every way of receiving it
+   forgets the node's dynamic hint, which named an owner from before
+   this one, so hints only ever name later owners (DESIGN.md,
+   section 7). *)
+let take_ownership i ~page ps =
+  Int_tbl.replace i.i_pages page ps;
+  Hint_cache.remove i.i_dyn ~page
+
 (* ------------------------------------------------------------------ *)
 (* Hint maintenance                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* [i] is the page's static manager: record [hint], the [seq]-th update
+   made, unless the table holds a later one.  The reliable transport
+   retransmits without ordering, so an update can arrive after one made
+   after it, and would then name a node the page has left (DESIGN.md,
+   section 7). *)
+let record_static i ~page ~seq hint =
+  match Hint_cache.find i.i_static ~page with
+  | Some (_, held) when held > seq -> ()
+  | Some _ | None ->
+    Hint_cache.put i.i_static ~page (hint, seq);
+    Bytes.set i.i_seen page '\001'
+
+(* The next update number.  Each update is made at the ownership
+   change it reports, and the changes of one page form a single causal
+   chain, so the numbers follow that chain: they stand in for a
+   per-page epoch carried with ownership. *)
+let next_seq t =
+  t.updates <- t.updates + 1;
+  t.updates
+
 let update_static t i ~page ~hint =
   (* record at the page's static ownership manager *)
+  let seq = next_seq t in
   let sm = static_mgr i page in
-  if sm = i.i_node then begin
-    Hint_cache.put i.i_static ~page hint;
-    Bytes.set i.i_seen page '\001'
-  end
-  else send t ~src:i.i_node ~dst:sm (A_owner_update { obj = i.i_obj; page; hint })
+  if sm = i.i_node then record_static i ~page ~seq hint
+  else
+    send t ~src:i.i_node ~dst:sm
+      (A_owner_update { obj = i.i_obj; page; hint; seq })
 
 (* ------------------------------------------------------------------ *)
 (* Request forwarding (the redirector, paper 3.3/3.4)                 *)
@@ -592,7 +631,7 @@ let update_static t i ~page ~hint =
 let request_stale t req =
   Network.is_down t.net req.r_origin
   || Network.incarnation t.net req.r_origin <> req.r_origin_inc
-  || (req.r_kind = K_fault && req.r_gen >= 0
+  || (req.r_kind = K_fault
      &&
      match Pair_tbl.find_opt t.insts (req.r_origin, req.r_origin_obj) with
      | None -> true
@@ -615,13 +654,16 @@ let fault_request t ~node ~obj ~page ~want ~upgrade ~gen =
     r_want = want;
     r_upgrade = upgrade;
     r_scan_home = obj;
-    r_hops = 0;
     r_ring = -1;
     r_directed = -1;
     r_kind = K_fault;
     r_origin_inc = Network.incarnation t.net node;
     r_gen = gen;
   }
+
+(* The static hint claiming the page for fault [req]'s origin. *)
+let claimed_for req =
+  S_at { owner = req.r_origin; inc = req.r_origin_inc; gen = req.r_gen }
 
 (* The answer from [node] to fault request [req]; [None] contents are a
    zero fill. *)
@@ -683,19 +725,32 @@ let park_request t node i req =
   note_request t ~node ~category:"asvm.park" req;
   Queue.push req q
 
-(* [r_directed] of a request a faulting non-owner hands to the page's
-   static manager: the manager routes it by its table, not by its own
-   dynamic hint, which can lead straight back (a stale hint cycle
-   through the faulting node). *)
-let by_table = -2
+(* This node's fault for [page] is answered: give back its receive
+   buffer and, unless the fault was granted locally ([~timed:false]),
+   sample its latency into the registry; when the fault was in crash
+   recovery (re-driven after a dead letter or a rejoin), also sample the
+   recovery-latency histogram. *)
+let complete_fault ?(timed = true) t node i ~page ~ownership =
+  Sts.release_buffer t.sts ~node;
+  (match Int_tbl.find_opt i.i_outstanding page with
+  | Some (t0, _gen) when timed ->
+    Msg_meter.fault t.meter ~ownership (now t -. t0)
+  | Some _ | None -> ());
+  (match Hashtbl.find_opt t.recovering (i.i_node, i.i_obj, page) with
+  | None -> ()
+  | Some t0 ->
+    Hashtbl.remove t.recovering (i.i_node, i.i_obj, page);
+    Msg_meter.recovery t.meter (now t -. t0));
+  Int_tbl.remove i.i_outstanding page;
+  Int_tbl.remove i.i_revoked page
 
 (* A foreign fault reaching a node that neither owns the page nor is
    told by an authority that its in-flight fault is the next owner:
    parking it here could close a cycle (this node's own request may be
    parked at the foreign origin), so it parks only when [r_directed]
    names exactly that fault.  Anything else goes to the page's static
-   manager, whose table orders concurrent faulters ([by_table]); when
-   this node is that manager, [consult_static] decides at once. *)
+   manager, whose table orders concurrent faulters; when this node is
+   that manager, [consult_static] decides at once. *)
 let rec route_request t node req =
   if request_stale t req then drop_stale t node req
   else
@@ -705,27 +760,21 @@ let rec route_request t node req =
   | None ->
     let gen = parkable_gen i node req in
     if gen >= 0 && gen = req.r_directed then park_request t node i req
-    else
-      forward_request
-        ~dynamic:(gen < 0 && req.r_directed <> by_table)
-        t node i req
+    else forward_request ~dynamic:(gen < 0) t node i req
 
 (* Every forwarding hop clears [r_directed]; only [consult_static]'s
    static hit, [pager_lookup]'s chase and [finish_owner_op] set it.
-   [~dynamic:false] skips this node's dynamic hint and sends the
-   request to the static manager marked [by_table]. *)
+   [~dynamic:false] skips this node's dynamic hint.  The page's static
+   manager never reads its dynamic hint while static forwarding is on:
+   it routes by its table, which a stale hint of its own could only
+   contradict (DESIGN.md, section 7). *)
 and forward_request ?(dynamic = true) t node i req =
   req.r_directed <- -1;
-  req.r_hops <- req.r_hops + 1;
   if req.r_ring >= 0 then sweep_step t node i req
-  else if req.r_hops > (2 * Array.length i.i_sharers) + 8 then begin
-    (* stale hint loop: abandon hints, fall back to a global sweep *)
-    count t c_loop_break;
-    start_sweep t node i req
-  end
   else begin
+    let sm = static_mgr i req.r_page in
     let hint =
-      if dynamic && i.i_fwd.dynamic then
+      if dynamic && i.i_fwd.dynamic && not (i.i_fwd.static && sm = node) then
         Hint_cache.find i.i_dyn ~page:req.r_page
       else None
     in
@@ -743,82 +792,105 @@ and forward_request ?(dynamic = true) t node i req =
       send t ~src:node ~dst:target (A_request req)
     | Some _ | None ->
       if i.i_fwd.static then begin
-        let sm = static_mgr i req.r_page in
         if Network.is_down t.net sm then
           (* the page's static manager is down: its hint table is gone,
              only the ring sweep can find a surviving owner *)
-          start_sweep t node i req
+          start_sweep t node i req ~reason:"manager_down"
         else if sm <> node then begin
           count t c_to_static;
-          if not dynamic then req.r_directed <- by_table;
           send t ~src:node ~dst:sm (A_request req)
         end
         else consult_static t node i req
       end
-      else start_sweep t node i req
+      else start_sweep t node i req ~reason:"static_off"
   end
 
 and consult_static t node i req =
-  (* When the request leaves for the pager (or is zero-granted), the
-     origin is about to become the owner: record that now so that
-     simultaneous requests for the same page chase the origin instead of
-     each being granted an owner by the pager. *)
-  let claim_for_origin () =
-    if req.r_kind <> K_push_scan then begin
-      Hint_cache.put i.i_static ~page:req.r_page
-        (S_at { owner = req.r_origin; gen = req.r_gen });
-      Bytes.set i.i_seen req.r_page '\001'
-    end
+  (* When a fault leaves for the pager (or is zero-granted), its origin
+     is about to become the owner: record that now so that simultaneous
+     requests for the same page chase the origin instead of each being
+     granted an owner by the pager.  A pull searches a shadow object on
+     behalf of its origin object, whose page its answer fills: the
+     origin never owns the shadow's page, so a pull claims nothing.  A
+     claim is this manager's guess, not news: it keeps the number of the
+     entry it replaces, so the pager's or an owner's update made
+     meanwhile still overrides it. *)
+  let claim_for_origin ~seq =
+    if req.r_kind = K_fault then
+      record_static i ~page:req.r_page ~seq (claimed_for req)
   in
   match Hint_cache.find i.i_static ~page:req.r_page with
-  | Some (S_at { owner = target; gen })
-    when target <> node && not (Network.is_down t.net target) ->
+  | Some (S_at { owner; inc; gen }, _)
+    when req.r_kind = K_fault && owner = req.r_origin && inc = req.r_origin_inc
+         && gen = req.r_gen ->
+    (* the fault's own claim (only faults claim): it went to the pager
+       once, and the pager chased it to an earlier holder whose pageout
+       is still on its way back (paper 3.6 step 4) — ask the pager
+       again *)
+    count t c_paged_hint;
+    to_pager_lookup t node i req
+  | Some (S_at { owner = target; inc; gen }, _)
+    when target <> node && current t target inc ->
     count t c_static_hit;
     req.r_directed <- gen;
     send t ~src:node ~dst:target (A_request req)
-  | Some (S_at { owner; gen })
-    when owner = node && gen >= 0 && gen = parkable_gen i node req ->
+  | Some (S_at { owner; inc; gen }, _)
+    when owner = node && current t node inc && gen >= 0
+         && gen = parkable_gen i node req ->
     (* the table designates this manager's own in-flight fault *)
     park_request t node i req
-  | Some S_fresh ->
+  | Some (S_fresh, seq) ->
     count t c_fresh_hint;
-    claim_for_origin ();
+    claim_for_origin ~seq;
     conclude_fresh t node i req
-  | Some S_paged ->
+  | Some (S_paged, seq) ->
     count t c_paged_hint;
-    claim_for_origin ();
+    claim_for_origin ~seq;
     to_pager_lookup t node i req
-  | Some (S_at _) (* stale self-reference *) | None ->
+  | Some (S_at { owner; inc; _ }, _) ->
+    (* the table names this manager, which neither owns the page nor
+       is designated for it, or a node that is down or has crashed
+       since *)
+    start_sweep t node i req
+      ~reason:
+        (if owner = node && current t node inc then "self_entry"
+         else "dead_entry")
+  | None ->
     if Bytes.get i.i_seen req.r_page = '\000' then begin
       (* the page never had an owner: only the pager (or, for a copy
          object, the shadow chain behind it) can have data *)
-      claim_for_origin ();
+      claim_for_origin ~seq:0;
       to_pager_lookup t node i req
     end
-    else start_sweep t node i req
+    else start_sweep t node i req ~reason:"no_entry"
 
 and to_pager_lookup t node i req =
   let pnode = Store_pager.node (pager_of i req.r_page) in
   if pnode = node then pager_lookup t node i req
   else send t ~src:node ~dst:pnode (A_pager_lookup req)
 
-and start_sweep t node i req =
+(* The last resort (paper 3.4): walk the ring of sharers.  [reason]
+   names which of the static manager's shortcomings left nothing else —
+   down, static forwarding off for the object, or no usable table entry
+   — in the request's [asvm.sweep] note. *)
+and start_sweep t node i req ~reason =
   count t c_global_sweep;
+  note_request t ~node ~category:"asvm.sweep" ~reason req;
   req.r_ring <- node;
   sweep_step t node i req
 
 and sweep_step t node i req =
   match ring_next t i ~node ~stop:req.r_ring with
-  | None -> end_of_search t node i req
   | Some next -> send t ~src:node ~dst:next (A_request req)
-
-(* The sweep (or hint path) found no owner anywhere. *)
-and end_of_search t node i req =
-  req.r_ring <- -1;
-  to_pager_lookup t node i req
+  | None ->
+    (* no owner anywhere *)
+    req.r_ring <- -1;
+    to_pager_lookup t node i req
 
 (* Executed on the pager's node. *)
 and pager_lookup t node i req =
+  if request_stale t req then drop_stale t node req
+  else
   match Int_tbl.find_opt i.i_pageouts req.r_page with
   | Some po when not (Network.is_down t.net po.evictor) ->
     (* a dirty pageout of this page is in flight to the store: wait for
@@ -843,29 +915,14 @@ and close_pageout t node i page =
     List.iter
       (fun req ->
         Engine.schedule (Network.engine t.net) ~delay:0. (fun () ->
-            if request_stale t req then drop_stale t node req
-            else pager_lookup t node (inst t node req.r_obj) req))
+            pager_lookup t node (inst t node req.r_obj) req))
       (List.rev po.waiting)
 
 and supply_lookup t node i req =
-  let chase =
-    match Int_tbl.find_opt i.i_granted req.r_page with
-    | Some (holder, _) as granted
-      when req.r_kind <> K_push_scan && holder <> req.r_origin
-           && not (Network.is_down t.net holder) ->
-      if req.r_hops > 4 * (Array.length i.i_sharers + 2) then begin
-        (* liveness escape: a request that has wandered this long is
-           supplied even though the grant table names a live holder,
-           which can mint a second owner *)
-        count t c_escalation;
-        note_request t ~node ~category:"asvm.escalation" req;
-        None
-      end
-      else granted
-    | Some _ | None -> None
-  in
-  match chase with
-  | Some (holder, gen) ->
+  match Int_tbl.find_opt i.i_granted req.r_page with
+  | Some (holder, gen)
+    when req.r_kind <> K_push_scan && holder <> req.r_origin
+         && not (Network.is_down t.net holder) ->
     (* the pager already handed this page to someone: chase the holder
        instead of creating a second owner.  Leave sweep mode and
        designate the fault the pager supplied — the chased request must
@@ -874,7 +931,7 @@ and supply_lookup t node i req =
     req.r_ring <- -1;
     req.r_directed <- gen;
     send t ~src:node ~dst:holder (A_request req)
-  | None ->
+  | Some _ | None ->
   if Store_pager.has (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page
   then begin
     match req.r_kind with
@@ -883,13 +940,15 @@ and supply_lookup t node i req =
       send t ~src:node ~dst:req.r_origin (scan_answer req ~found:true)
     | K_fault | K_pull ->
       count t c_pager_supply;
-      Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
+      let claim = req.r_kind = K_fault in
+      if claim then
+        Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
       Store_pager.request (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page ~words:t.wpp
         (fun contents ->
-          update_static t i ~page:req.r_page
-            ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
+          if claim then
+            update_static t i ~page:req.r_page ~hint:(claimed_for req);
           send t ~src:node ~dst:req.r_origin
-            (handover ~node req ~updated:true (Some contents)))
+            (handover ~node req ~updated:claim (Some contents)))
   end
   else
     match req.r_kind with
@@ -910,11 +969,13 @@ and conclude_fresh t node i req =
   | K_push_scan -> send t ~src:node ~dst:req.r_origin (scan_answer req ~found:false)
   | K_fault | K_pull ->
     count t c_zero_grant;
-    if node = Store_pager.node (pager_of i req.r_page) then
-      Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
-    update_static t i ~page:req.r_page
-      ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
-    send t ~src:node ~dst:req.r_origin (handover ~node req ~updated:true None)
+    let claim = req.r_kind = K_fault in
+    if claim then begin
+      if node = Store_pager.node (pager_of i req.r_page) then
+        Int_tbl.replace i.i_granted req.r_page (req.r_origin, req.r_gen);
+      update_static t i ~page:req.r_page ~hint:(claimed_for req)
+    end;
+    send t ~src:node ~dst:req.r_origin (handover ~node req ~updated:claim None)
 
 (* ------------------------------------------------------------------ *)
 (* Owner-side state machine (paper 3.5, figure 7)                     *)
@@ -956,9 +1017,7 @@ and reply_pull t node req =
    readers, never both. *)
 and owner_read_grant t node i ps req =
   let vm = t.vms.(node) in
-  Vm.lock_request vm ~obj:req.r_obj ~page:req.r_page
-    ~op:{ Emmi.max_access = Prot.Read_only; clean = false; mode = Emmi.Lock_plain }
-    ~reply:(fun _ ->
+  lock_plain vm ~obj:req.r_obj ~page:req.r_page Prot.Read_only ~reply:(fun _ ->
       match Vm.frame_contents vm ~obj:req.r_obj ~page:req.r_page with
       | None ->
         finish_owner_op t node i ps req.r_page ~moved_to:None;
@@ -980,32 +1039,27 @@ and owner_write_grant t node i ps req =
       invalidate_readers t node i ps ~page ~except:req.r_origin (fun () ->
           let vm = t.vms.(node) in
           if req.r_origin = node then begin
-            (* transition 7: local upgrade; ownership stays here. Every
-               request holds a receive-buffer reservation at its origin
-               in case it has to leave the node; a locally granted one
-               never uses it. *)
-            Sts.release_buffer t.sts ~node;
-            Vm.lock_request vm ~obj:req.r_obj ~page
-              ~op:
-                {
-                  Emmi.max_access = Prot.Read_write;
-                  clean = false;
-                  mode = Emmi.Lock_plain;
-                }
-              ~reply:(fun _ -> ());
+            (* transition 7: local upgrade; ownership stays here, and
+               the fault completes without a reply, untimed (the fault
+               histograms time answers from other nodes).  Its
+               receive-buffer reservation, held in case the request had
+               to leave the node, goes back unused. *)
+            complete_fault ~timed:false t node i ~page ~ownership:true;
+            lock_plain vm ~obj:req.r_obj ~page Prot.Read_write ~reply:ignore;
+            finish_owner_op t node i ps page ~moved_to:(Some node);
+            drain_inbound t node i page
+          end
+          else if request_stale t req then begin
+            (* the origin crashed while the write was being prepared:
+               granting now would hand ownership to a fault that no
+               longer exists, so the page stays here *)
+            drop_stale t node req;
             finish_owner_op t node i ps page ~moved_to:(Some node)
           end
           else
             (* revoke our own write permission before capturing the
                contents, so no local write slips past the transfer *)
-            Vm.lock_request vm ~obj:req.r_obj ~page
-              ~op:
-                {
-                  Emmi.max_access = Prot.Read_only;
-                  clean = false;
-                  mode = Emmi.Lock_plain;
-                }
-              ~reply:(fun _ ->
+            lock_plain vm ~obj:req.r_obj ~page Prot.Read_only ~reply:(fun _ ->
                 count t c_ownership_transfer;
                 let was_reader = List.mem req.r_origin ps.p_readers in
                 if req.r_upgrade && was_reader then
@@ -1026,17 +1080,9 @@ and owner_write_grant t node i ps req =
                 end;
                 (* the old owner flushes its own copy: single writer *)
                 Vm.unwire vm ~obj:req.r_obj ~page;
-                Vm.lock_request vm ~obj:req.r_obj ~page
-                  ~op:
-                    {
-                      Emmi.max_access = Prot.No_access;
-                      clean = false;
-                      mode = Emmi.Lock_plain;
-                    }
-                  ~reply:(fun _ -> ());
+                lock_plain vm ~obj:req.r_obj ~page Prot.No_access ~reply:ignore;
                 Hint_cache.put i.i_dyn ~page req.r_origin;
-                update_static t i ~page
-                  ~hint:(S_at { owner = req.r_origin; gen = req.r_gen });
+                update_static t i ~page ~hint:(claimed_for req);
                 finish_owner_op t node i ps page ~moved_to:(Some req.r_origin))))
 
 (* Transitions 6/7 prologue: flush every node in the reader list. *)
@@ -1105,9 +1151,23 @@ and finish_owner_op t node i ps page ~moved_to =
              page = req.r_page;
              want = req.r_want;
              upgrade = req.r_upgrade;
+             gen = req.r_gen;
            }))
     ps.p_retries;
   Queue.clear ps.p_retries
+
+(* Requests that parked here while our own fault was in flight are
+   re-routed once ownership (and the frame) have landed. *)
+and drain_inbound t node i page =
+  match Int_tbl.find_opt i.i_waiting_inbound page with
+  | None -> ()
+  | Some q ->
+    Int_tbl.remove i.i_waiting_inbound page;
+    let vm = t.vms.(node) in
+    let delay = 2. *. (Vm.config vm).Asvm_machvm.Vm_config.emmi_call_ms in
+    Queue.iter
+      (fun req -> Engine.schedule (Vm.engine vm) ~delay (fun () -> route_request t node req))
+      q
 
 (* ------------------------------------------------------------------ *)
 (* Push operations (paper 3.7.2)                                      *)
@@ -1166,7 +1226,6 @@ and run_push_if_needed t node i ps page k =
             r_want = Prot.Read_only;
             r_upgrade = false;
             r_scan_home = i.i_obj;
-            r_hops = 0;
             r_ring = -1;
             r_directed = -1;
             r_kind = K_push_scan;
@@ -1337,56 +1396,32 @@ let pager_store_handshake t node i ~page ~contents =
    a second [A_owner_update] would only repeat the same hint — the
    paper's three-message transfer relies on exactly one. *)
 let install_owner t node i ~page ~version ~dirty ~static_updated =
-  Int_tbl.replace i.i_pages page (new_pstate ~version);
+  take_ownership i ~page (new_pstate ~version);
   if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
-  Hint_cache.remove i.i_dyn ~page;
   trace_ownership t ~obj:i.i_obj ~page ~owner:node;
   if not static_updated then
-    update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
-
-(* Requests that parked here while our own fault was in flight are
-   re-routed once ownership (and the frame) have landed. *)
-let drain_inbound t node i page =
-  match Int_tbl.find_opt i.i_waiting_inbound page with
-  | None -> ()
-  | Some q ->
-    Int_tbl.remove i.i_waiting_inbound page;
-    let vm = t.vms.(node) in
-    let delay = 2. *. (Vm.config vm).Asvm_machvm.Vm_config.emmi_call_ms in
-    Queue.iter
-      (fun req -> Engine.schedule (Vm.engine vm) ~delay (fun () -> route_request t node req))
-      q
+    update_static t i ~page ~hint:(owned_by t node)
 
 (* A generation-checked answer to a superseded request: the re-driven
    fault still holds this node's receive-buffer reservation, so the
    stale answer must not consume it. *)
 let superseded i ~page ~gen =
-  gen >= 0
-  &&
   match Int_tbl.find_opt i.i_outstanding page with
   | Some (_, g) -> g <> gen
   | None -> true
 
-(* This node's fault for [page] is answered: give back its receive
-   buffer and sample its latency into the registry; when the fault was
-   in crash recovery (re-driven after a dead letter or a rejoin), also
-   sample the recovery-latency histogram. *)
-let complete_fault t node i ~page ~ownership =
-  Sts.release_buffer t.sts ~node;
-  (match Int_tbl.find_opt i.i_outstanding page with
-  | None -> ()
-  | Some (t0, _gen) -> Msg_meter.fault t.meter ~ownership (now t -. t0));
-  (match Hashtbl.find_opt t.recovering (i.i_node, i.i_obj, page) with
-  | None -> ()
-  | Some t0 ->
-    Hashtbl.remove t.recovering (i.i_node, i.i_obj, page);
-    Msg_meter.recovery t.meter (now t -. t0));
-  Int_tbl.remove i.i_outstanding page;
-  Int_tbl.remove i.i_revoked page
-
-let reissue t node ~origin_obj ~page ~want ~upgrade =
-  route_request t node
-    (fault_request t ~node ~obj:origin_obj ~page ~want ~upgrade ~gen:(-1))
+(* Start this node's fault for [page]: a fresh generation, the
+   outstanding entry an authority can designate, and a receive-buffer
+   reservation before routing.  A write upgrade of a page this node
+   owns takes one too: ownership can leave while it queues, and the
+   request then leaves the node and its answer carries a page. *)
+let start_fault t node i ~page ~want ~upgrade =
+  let gen = i.i_next_gen in
+  i.i_next_gen <- gen + 1;
+  Int_tbl.replace i.i_outstanding page (now t, gen);
+  Sts.acquire_buffer t.sts ~node (fun () ->
+      route_request t node
+        (fault_request t ~node ~obj:i.i_obj ~page ~want ~upgrade ~gen))
 
 (* The boolean answer (reader query, transfer offer, pager offer) the
    owner's pageout continuation for [page] waits on. *)
@@ -1475,18 +1510,15 @@ let rec handle t node msg =
     else begin
       complete_fault t node i ~page ~ownership:true;
       if Vm.is_resident t.vms.(node) ~obj ~page then begin
-        Vm.lock_request t.vms.(node) ~obj ~page
-          ~op:{ Emmi.max_access = Prot.Read_write; clean = false; mode = Emmi.Lock_plain }
-          ~reply:(fun _ -> ());
+        lock_plain t.vms.(node) ~obj ~page Prot.Read_write ~reply:ignore;
         (* the granting owner already updated the static manager *)
         install_owner t node i ~page ~version ~dirty:false ~static_updated:true;
         drain_inbound t node i page
       end
       else
-        (* the read copy vanished while the grant was in flight *)
-        Sts.acquire_buffer t.sts ~node (fun () ->
-            reissue t node ~origin_obj:obj ~page ~want:Prot.Read_write
-              ~upgrade:false)
+        (* the read copy vanished while the grant was in flight: fault
+           the page in afresh *)
+        start_fault t node i ~page ~want:Prot.Read_write ~upgrade:false
     end
   | A_invalidate { obj; page; new_owner; from; stamp } ->
     (* transition 8.  The ack waits on an async kernel call (a crashed
@@ -1495,9 +1527,7 @@ let rec handle t node msg =
     if Int_tbl.mem i.i_outstanding page then
       Int_tbl.replace i.i_revoked page (from, stamp);
     let ack = A_inval_ack { obj; page } in
-    Vm.lock_request t.vms.(node) ~obj ~page
-      ~op:{ Emmi.max_access = Prot.No_access; clean = false; mode = Emmi.Lock_plain }
-      ~reply:
+    lock_plain t.vms.(node) ~obj ~page Prot.No_access ~reply:
         (owe t node i ~dst:from ack (fun _ ->
              Hint_cache.put i.i_dyn ~page new_owner;
              send t ~src:node ~dst:from ack))
@@ -1512,10 +1542,8 @@ let rec handle t node msg =
         k ()
       end
     | None -> ())
-  | A_owner_update { obj; page; hint } ->
-    let i = inst t node obj in
-    Hint_cache.put i.i_static ~page hint;
-    Bytes.set i.i_seen page '\001'
+  | A_owner_update { obj; page; hint; seq } ->
+    record_static (inst t node obj) ~page ~seq hint
   | A_reader_query { obj; page; from; dirty; rest; version; stamp } ->
     let i = inst t node obj in
     let vm = t.vms.(node) in
@@ -1538,23 +1566,15 @@ let rec handle t node msg =
       if dirty then Vm.set_frame_dirty vm ~obj ~page;
       let ps = new_pstate ~version in
       ps.p_readers <- List.filter (fun r -> r <> node) rest;
-      Int_tbl.replace i.i_pages page ps;
-      Hint_cache.remove i.i_dyn ~page;
-      update_static t i ~page ~hint:(S_at { owner = node; gen = -1 });
+      take_ownership i ~page ps;
+      update_static t i ~page ~hint:(owned_by t node);
       send t ~src:node ~dst:from (A_reader_answer { obj; page; accepted = true })
     end
     else begin
       if Int_tbl.mem i.i_outstanding page then
         Int_tbl.replace i.i_revoked page (from, stamp);
       if Vm.is_resident vm ~obj ~page then
-        Vm.lock_request vm ~obj ~page
-          ~op:
-            {
-              Emmi.max_access = Prot.No_access;
-              clean = false;
-              mode = Emmi.Lock_plain;
-            }
-          ~reply:(fun _ -> ());
+        lock_plain vm ~obj ~page Prot.No_access ~reply:ignore;
       send t ~src:node ~dst:from (A_reader_answer { obj; page; accepted = false })
     end
   | A_reader_answer { obj; page; accepted }
@@ -1581,13 +1601,14 @@ let rec handle t node msg =
     if
       Vm.try_accept_page vm ~obj ~page ~contents ~dirty ~access:Prot.Read_only
     then begin
-      let ps = new_pstate ~version in
-      Int_tbl.replace i.i_pages page ps;
-      Hint_cache.remove i.i_dyn ~page;
-      update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
+      take_ownership i ~page (new_pstate ~version);
+      update_static t i ~page ~hint:(owned_by t node)
     end
     else begin
-      (* memory vanished since the offer: fall through to the pager *)
+      (* memory vanished since the offer: the page goes on to the pager,
+         but this node received ownership all the same and forgets its
+         hint, which often names the sender (whose hint names this node) *)
+      Hint_cache.remove i.i_dyn ~page;
       if dirty then pager_store_handshake t node i ~page ~contents
       else
         send t ~src:node
@@ -1700,9 +1721,8 @@ let rec handle t node msg =
       Vm.try_accept_page t.vms.(node) ~obj:copy ~page ~contents ~dirty:true
         ~access:Prot.Read_only
     then begin
-      let ps = new_pstate ~version:0 in
-      Int_tbl.replace i.i_pages page ps;
-      update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
+      take_ownership i ~page (new_pstate ~version:0);
+      update_static t i ~page ~hint:(owned_by t node)
     end
     else
       (* no memory at the peer: the frozen page goes to the copy's pager *)
@@ -1718,9 +1738,12 @@ let rec handle t node msg =
       op.o_need_copies <- (copy, peer) :: op.o_need_copies
     | Some _ | None -> ());
     push_op_done i ~page
-  | A_retry { origin_obj; page; want; upgrade } ->
+  | A_retry { origin_obj; page; want; upgrade; gen } ->
+    (* the fault is still in flight, with its generation and its
+       receive-buffer reservation: route it again from here *)
     count t c_copy_retry;
-    reissue t node ~origin_obj ~page ~want ~upgrade
+    route_request t node
+      (fault_request t ~node ~obj:origin_obj ~page ~want ~upgrade ~gen)
 
 and handle_pull t node req =
   (* Executed on the peer node of a copy object: walk the local shadow
@@ -1761,34 +1784,43 @@ let set_static_hint t i ~page ~hint =
   if not (Network.is_down t.net sm) then
     match Pair_tbl.find_opt t.insts (sm, i.i_obj) with
     | None -> ()
-    | Some mi ->
-      Hint_cache.put mi.i_static ~page hint;
-      Bytes.set mi.i_seen page '\001'
+    | Some mi -> record_static mi ~page ~seq:(next_seq t) hint
 
-(* Forget that the pager last granted [page] to a node whose copy died
-   with it, so the next cold fault is not chased into the crash site.
-   With [holder], only an entry that still names that node: a message
-   dead-lettering at a crashed node can arrive long after the crash,
-   and an entry naming anyone else then records a grant made since —
-   the pager may well have supplied a survivor — which must stay, or
-   the next lookup mints a second owner. *)
-let purge_granted ?holder t i ~page =
+(* Forget the pager's grant of [page] once the page's owner died (or
+   its ownership died in flight), so the next cold fault is not chased
+   towards the crash site — unless the entry records a grant its holder
+   still owns or still awaits.  A message dead-lettering at a crashed
+   node can arrive long after the crash, and the pager may well have
+   supplied a survivor since: that entry must stay, or the next lookup
+   mints a second owner.  Any other entry names a holder that passed
+   the page on, and a chase to it could only come back to the pager. *)
+let purge_granted t i ~page =
   let pnode = Store_pager.node (pager_of i page) in
+  let holds (holder, gen) =
+    (not (Network.is_down t.net holder))
+    &&
+    match Pair_tbl.find_opt t.insts (holder, i.i_obj) with
+    | None -> false
+    | Some hi -> (
+      Int_tbl.mem hi.i_pages page
+      ||
+      match Int_tbl.find_opt hi.i_outstanding page with
+      | Some (_, g) -> g = gen
+      | None -> false)
+  in
   match Pair_tbl.find_opt t.insts (pnode, i.i_obj) with
   | Some pi -> (
-    match (Int_tbl.find_opt pi.i_granted page, holder) with
-    | Some (h, _), Some dead when h <> dead -> ()
-    | Some _, _ -> Int_tbl.remove pi.i_granted page
-    | None, _ -> ())
+    match Int_tbl.find_opt pi.i_granted page with
+    | Some grant when not (holds grant) -> Int_tbl.remove pi.i_granted page
+    | Some _ | None -> ())
   | None -> ()
 
 (* Restart a fault whose request or answer was lost to a crash.  The
    re-drive bumps the origin's fault generation so any answer to the
    superseded request is dropped instead of double-consuming the
-   origin's receive-buffer reservation; generation [-1] requests (which
-   never race their own re-drive) restart as they were.  A fault whose
-   outstanding entry is gone or superseded has already been answered —
-   nothing to recover. *)
+   origin's receive-buffer reservation.  A fault whose outstanding
+   entry is gone or superseded has already been answered — nothing to
+   recover. *)
 let redrive_fault t req =
   let origin = req.r_origin in
   if
@@ -1799,20 +1831,11 @@ let redrive_fault t req =
     match Pair_tbl.find_opt t.insts (origin, req.r_origin_obj) with
     | None -> ()
     | Some oi -> (
-      let gen =
-        if req.r_gen < 0 then Some (-1)
-        else
-          match Int_tbl.find_opt oi.i_outstanding req.r_page with
-          | Some (t0, g) when g = req.r_gen ->
-            let g' = oi.i_next_gen in
-            oi.i_next_gen <- g' + 1;
-            Int_tbl.replace oi.i_outstanding req.r_page (t0, g');
-            Some g'
-          | Some _ | None -> None
-      in
-      match gen with
-      | None -> ()
-      | Some gen ->
+      match Int_tbl.find_opt oi.i_outstanding req.r_page with
+      | Some (t0, g) when g = req.r_gen ->
+        let gen = oi.i_next_gen in
+        oi.i_next_gen <- gen + 1;
+        Int_tbl.replace oi.i_outstanding req.r_page (t0, gen);
         count t c_redrive;
         let key = (origin, req.r_origin_obj, req.r_page) in
         if not (Hashtbl.mem t.recovering key) then
@@ -1821,12 +1844,12 @@ let redrive_fault t req =
           {
             req with
             r_obj = req.r_origin_obj;
-            r_hops = 0;
             r_ring = -1;
             r_directed = -1;
             r_kind = K_fault;
             r_gen = gen;
-          })
+          }
+      | Some _ | None -> ())
 
 (* Hand a synthesized message to a node as if it had been delivered. *)
 let deliver_if_alive t node msg =
@@ -1889,7 +1912,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
                 (if Store_pager.has (pager_of i page) ~obj:origin_obj ~page
                  then S_paged
                  else S_fresh));
-          purge_granted ~holder:dst t i ~page
+          purge_granted t i ~page
         end)
     | A_grant { obj; page; _ } -> (
       (* upgrade grant to a crashed reader: its read copy died with it;
@@ -1903,7 +1926,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
           ~hint:
             (if Store_pager.has (pager_of i page) ~obj ~page then S_paged
              else S_fresh);
-        purge_granted ~holder:dst t i ~page)
+        purge_granted t i ~page)
     | A_invalidate { obj; page; from; _ } ->
       (* a crashed reader holds no copy: acknowledge on its behalf *)
       deliver_if_alive t from (A_inval_ack { obj; page })
@@ -1922,7 +1945,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
         count t c_rescued_page;
         Store_pager.remember (pager_of i page) ~obj ~page ~contents;
         set_static_hint t i ~page ~hint:S_paged;
-        purge_granted ~holder:dst t i ~page)
+        purge_granted t i ~page)
     | A_pager_offer { obj; page; from } ->
       (* the pager's node died; accept on its behalf — the contents
          then dead-letter into the store, which survives the crash *)
@@ -2002,6 +2025,7 @@ let create ~net ~(config : config) ~vms ~words_per_page ?metrics ?trace () =
           ~row_of:row_of_msg ~subject_of:subject_of_msg ();
       trace;
       recovering = Hashtbl.create 16;
+      updates = 0;
     }
   in
   Array.iteri (fun node _ -> Sts.register sts ~node (fun msg -> handle t node msg)) vms;
@@ -2066,40 +2090,14 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
   List.iter
     (fun node ->
       let request ~page ~desired ~upgrade =
-        if Network.is_down t.net node then ()
-        else
-        let fire gen =
-          route_request t node
-            (fault_request t ~node ~obj ~page ~want:desired ~upgrade ~gen)
-        in
         let i = inst t node obj in
-        match Int_tbl.find_opt i.i_pages page with
-        | Some _ when upgrade ->
-          (* self-owned upgrade: run the owner machine locally. The
-             reservation covers the case where the request queues behind
-             an in-flight grant, ownership leaves, and the request is
-             forwarded off-node — its answer then carries a page.
-             Ownership may equally leave while the request waits for
-             the reservation, so it is routed once it holds one: to the
-             current owner state here, or off-node. *)
-          Sts.acquire_buffer t.sts ~node (fun () -> fire (-1))
-        | _ ->
-          if Int_tbl.mem i.i_outstanding page then
-            (* one request per page at a time: a second kernel request
-               (e.g. a write upgrade behind a read fault) is answered by
-               the kernel's own retry after the first reply lands — a
-               duplicate in-flight request could overwrite owner state
-               built meanwhile *)
-            ()
-          else begin
-            (* a page answer needs a preallocated receive buffer here;
-               requests wait when the pool is exhausted (flow control) *)
-            let gen = i.i_next_gen in
-            i.i_next_gen <- gen + 1;
-            Int_tbl.replace i.i_outstanding page
-              (Engine.now (Vm.engine t.vms.(node)), gen);
-            Sts.acquire_buffer t.sts ~node (fun () -> fire gen)
-          end
+        (* one request per page at a time: a second kernel request
+           (e.g. a write upgrade behind a read fault) is answered by the
+           kernel's own retry after the first reply lands — a duplicate
+           in-flight request could overwrite owner state built
+           meanwhile *)
+        if not (Network.is_down t.net node || Int_tbl.mem i.i_outstanding page)
+        then start_fault t node i ~page ~want:desired ~upgrade
       in
       let manager =
         {
@@ -2130,8 +2128,8 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
    documented data-loss case, counted in [crash.lost_pages]).  This runs
    at the crash instant, after [crash_node] dropped every grant naming
    the victim: a grant-table entry left for the page names a holder
-   that passed ownership on towards the victim, so it is stale and goes
-   unconditionally. *)
+   that passed ownership on towards the victim, and [purge_granted]
+   drops it. *)
 let reelect t ~victim i ~page ~ps =
   let obj = i.i_obj in
   let candidates =
@@ -2148,13 +2146,12 @@ let reelect t ~victim i ~page ~ps =
     let oi = inst t owner obj in
     let nps = new_pstate ~version:ps.p_version in
     nps.p_readers <- rest;
-    Int_tbl.replace oi.i_pages page nps;
-    Hint_cache.remove oi.i_dyn ~page;
+    take_ownership oi ~page nps;
     (* the survivor's copy may now be the only one anywhere: make sure
        an eviction writes it back instead of discarding it as clean *)
     Vm.set_frame_dirty t.vms.(owner) ~obj ~page;
     trace_ownership t ~obj ~page ~owner;
-    set_static_hint t oi ~page ~hint:(S_at { owner; gen = -1 });
+    set_static_hint t oi ~page ~hint:(owned_by t owner);
     purge_granted t i ~page
   | [] ->
     let hint =
@@ -2330,8 +2327,8 @@ let claim_residents t ~node ~obj =
     List.iter
       (fun page ->
         if not (Int_tbl.mem i.i_pages page) then begin
-          Int_tbl.replace i.i_pages page (new_pstate ~version:i.i_version);
-          update_static t i ~page ~hint:(S_at { owner = node; gen = -1 })
+          take_ownership i ~page (new_pstate ~version:i.i_version);
+          update_static t i ~page ~hint:(owned_by t node)
         end)
       (Asvm_machvm.Vm_object.resident_pages o)
 

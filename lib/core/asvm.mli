@@ -59,11 +59,11 @@ type t
     {!Asvm_obs.Msg_meter}.  [trace] receives one structured
     {!Asvm_obs.Trace.Msg} event per protocol message, an
     {!Asvm_obs.Trace.Ownership} event per ownership transition, and
-    [asvm.park] / [asvm.escalation] / [asvm.revoked_read] /
-    [asvm.stale_drop] notes for requests parked behind an in-flight
-    fault, supplied by the pager's liveness escape, asked again after a
-    revoked read grant, or dropped as stale.  See
-    [docs/OBSERVABILITY.md]. *)
+    [asvm.park] / [asvm.pageout_wait] / [asvm.sweep] /
+    [asvm.revoked_read] / [asvm.stale_drop] notes for requests parked
+    behind an in-flight fault, held behind a pageout, sent round the
+    ring of sharers (with the reason), asked again after a revoked read
+    grant, or dropped as stale.  See [docs/OBSERVABILITY.md]. *)
 val create :
   net:Asvm_mesh.Network.t ->
   config:config ->
@@ -191,7 +191,7 @@ val buffers_reserved : t -> node:int -> int
 
 (** A fresh copy of the event counts listed at {!create}, read from
     the registry, under the names the [perfbench] benchmark reads
-    ([forward.dynamic], [forward.loop_breaks], [pageout.to_pager],
+    ([forward.dynamic], [forward.global_sweeps], [pageout.to_pager],
     [crash.lost_pages], ...; [docs/OBSERVABILITY.md] maps each name to
     its series).  Counts still at zero are absent; writing to the copy
     changes nothing. *)

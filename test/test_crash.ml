@@ -261,6 +261,89 @@ let test_salvage_keeps_newer_grant () =
         [ 2.0; 3.0; 5.0 ])
     [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
 
+(* A write grant outlives its requester's crash.  5 nodes, page 0 of a
+   shared object on sharers 1-4 (static manager: node 1).  Node 1
+   writes 41 into word 0 and node 2 reads it; node 3, whose first fault
+   was on another page, writes word 1.  Owner 1 must invalidate node 2
+   first, and an STS interposer holds node 2's acknowledgement for 5 ms,
+   during which node 3 crashes and rejoins.  The grant is then due to a
+   fault that died with node 3's first incarnation: owner 1 keeps the
+   page, and the rejoined node's re-driven write is served from it.
+   Granted anyway, the page went to the new incarnation, which
+   discarded the answer as superseded, and the page was lost: node 2
+   then read a zero-filled page. *)
+let test_grant_outlives_requester () =
+  let armed = ref false and held = ref false in
+  let cl = ref None in
+  let interposer ~now:_ ~index:_ ~src ~dst ~carries_page =
+    if !armed && (not carries_page) && src = 2 && dst = 1 && not !held then begin
+      held := true;
+      let cl = Option.get !cl in
+      let eng = Cluster.engine cl in
+      Engine.schedule eng ~delay:1. (fun () -> Cluster.crash_node cl ~node:3);
+      Engine.schedule eng ~delay:1.5 (fun () -> Cluster.rejoin_node cl ~node:3);
+      { Asvm_sts.Sts.deliveries = [ 5. ] }
+    end
+    else Asvm_sts.Sts.pass
+  in
+  let cfg = Config.default ~nodes:5 in
+  let asvm = cfg.Config.asvm in
+  let c =
+    Cluster.create
+      {
+        cfg with
+        Config.asvm =
+          {
+            asvm with
+            Asvm_core.Asvm.sts =
+              {
+                asvm.Asvm_core.Asvm.sts with
+                Asvm_sts.Sts.interposer = Some interposer;
+              };
+          };
+      }
+  in
+  cl := Some c;
+  let cl = c in
+  let wpp = (Cluster.config cl).Config.vm.Vm_config.words_per_page in
+  let obj =
+    Cluster.create_shared_object cl ~size_pages:4 ~sharers:[ 1; 2; 3; 4 ] ()
+  in
+  let task n =
+    let t = Cluster.create_task cl ~node:n in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:4
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let t1, t2, t3 = (task 1, task 2, task 3) in
+  let sync what k =
+    let ok = ref false in
+    k (fun () -> ok := true);
+    Cluster.run cl;
+    if not !ok then Alcotest.failf "%s did not complete" what
+  in
+  sync "node 1's write" (fun k ->
+      Cluster.write_word cl ~task:t1 ~addr:0 ~value:41 k);
+  sync "node 2's read" (fun k ->
+      Cluster.read_word cl ~task:t2 ~addr:0 (fun _ -> k ()));
+  sync "node 3's first fault" (fun k ->
+      Cluster.read_word cl ~task:t3 ~addr:(2 * wpp) (fun _ -> k ()));
+  armed := true;
+  sync "node 3's write" (fun k ->
+      Cluster.write_word cl ~task:t3 ~addr:1 ~value:77 k);
+  Alcotest.(check bool) "the acknowledgement was held" true !held;
+  let read addr =
+    let v = ref None in
+    sync "node 2's read" (fun k ->
+        Cluster.read_word cl ~task:t2 ~addr (fun x ->
+            v := Some x;
+            k ()));
+    !v
+  in
+  Alcotest.(check (option int)) "node 1's write survives" (Some 41) (read 0);
+  Alcotest.(check (option int)) "node 3's write is seen" (Some 77) (read 1);
+  Alcotest.(check (list string)) "invariants hold" [] (Invariants.check cl)
+
 let () =
   Alcotest.run "crash"
     [
@@ -285,5 +368,7 @@ let () =
             test_rejoin_reuses_task;
           Alcotest.test_case "salvage keeps a newer pager grant" `Quick
             test_salvage_keeps_newer_grant;
+          Alcotest.test_case "a write grant outlives its requester" `Quick
+            test_grant_outlives_requester;
         ] );
     ]

@@ -182,7 +182,10 @@ type op = Write of int * int | Fork of int * int | Read of int * int
 (* Run [ops] on 4 nodes under [mm]: task 0 copy-inherits a 3-page
    private object on node 0, tasks are numbered in fork order, and the
    n-th write stores n.  [Error] names the first fork that did not
-   complete or read that differs from the reference. *)
+   complete or read that differs from the reference, then the run's
+   global sweeps (with no node down and static forwarding on, every
+   fault must reach an owner or the pager without one) and the chaos
+   invariant checker's findings. *)
 let run_fork_ops mm ops =
   let nodes = 4 in
   let pages = 3 in
@@ -195,6 +198,9 @@ let run_fork_ops mm ops =
   let tasks = ref [| t0 |] in
   let refs = ref [| Array.make words 0 |] in
   let value = ref 0 in
+  (* each op runs for at most a simulated second: a request that
+     circled would otherwise hang the run instead of failing its op *)
+  let run () = Cluster.run ~until:(Cluster.now cl +. 1000.) cl in
   let rec go = function
     | [] -> Ok ()
     | op :: rest -> (
@@ -207,14 +213,14 @@ let run_fork_ops mm ops =
         let ok = ref false in
         Cluster.write_word cl ~task:!tasks.(g) ~addr ~value:!value (fun () ->
             ok := true);
-        Cluster.run cl;
+        run ();
         if !ok then go rest
         else Error (Printf.sprintf "task %d: write of word %d stuck" g addr)
       | Fork (g, node) -> (
         let g = g mod gens in
         let child = ref None in
         Cluster.fork cl ~task:!tasks.(g) ~dst_node:node (fun c -> child := Some c);
-        Cluster.run cl;
+        run ();
         match !child with
         | Some c ->
           tasks := Array.append !tasks [| c |];
@@ -225,7 +231,7 @@ let run_fork_ops mm ops =
         let g = g mod gens in
         let r = ref None in
         Cluster.read_word cl ~task:!tasks.(g) ~addr (fun v -> r := Some v);
-        Cluster.run cl;
+        run ();
         let expected = !refs.(g).(addr) in
         if !r = Some expected then go rest
         else
@@ -234,7 +240,19 @@ let run_fork_ops mm ops =
                (match !r with Some v -> string_of_int v | None -> "nothing")
                expected))
   in
-  go ops
+  match go ops with
+  | Error _ as e -> e
+  | Ok () ->
+    let sweeps =
+      Asvm_obs.Metrics.counter_total
+        ~where:(fun ls -> List.assoc_opt "mechanism" ls = Some "global_sweep")
+        (Cluster.metrics_snapshot cl) "asvm.forwarding"
+    in
+    if sweeps > 0 then Error (Printf.sprintf "%d global sweeps" sweeps)
+    else
+      match Asvm_chaos.Invariants.check cl with
+      | [] -> Ok ()
+      | findings -> Error (String.concat "; " findings)
 
 let fork_semantics mm =
   let name =
@@ -257,13 +275,23 @@ let fork_semantics mm =
            raw_ops)
       = Ok ())
 
-(* Minimized ASVM failures of the property above, all at the promotion
-   of a node-local copy to a distributed one ([Vm.unsplice_copy],
-   paper 3.7).  A: the older sibling copy, rebased onto the source,
-   must keep the frozen page it read through the promoted copy.  B: a
-   task that read through the promoted copy must not keep its
-   translation into the source's frame.  C: nor its translation into
-   the promoted copy's own frame, which a sibling then writes. *)
+(* Minimized ASVM failures of the property above.  A-C are at the
+   promotion of a node-local copy to a distributed one
+   ([Vm.unsplice_copy], paper 3.7).  A: the older sibling copy, rebased
+   onto the source, must keep the frozen page it read through the
+   promoted copy.  B: a task that read through the promoted copy must
+   not keep its translation into the source's frame.  C: nor its
+   translation into the promoted copy's own frame, which a sibling then
+   writes.  D: a pull down the shadow chain must not claim the shadow
+   object's page for the faulting node, whose answer fills its own
+   object's page: every later fault on the shadow page once circled
+   between its static manager and that node, ending in global sweeps.
+   E: node 0 owns page 1 of a copy, filled through a pull when its
+   child read it (the copy's peer is node 3, the page's static manager
+   node 1).  When node 0 then writes page 1 of the source, its push
+   scan must not take the manager's entry for node 0 as its own claim:
+   the scan then went to the pager, found nothing, and the push made
+   node 3 a second owner of the copy page. *)
 let fork_case ops () =
   Alcotest.(check (result unit string))
     "reads match the reference" (Ok ())
@@ -280,6 +308,10 @@ let fork_case_c =
     Fork (0, 0); Fork (1, 2); Fork (1, 2); Write (1, 4); Read (2, 4); Fork (2, 0);
     Write (3, 5); Read (2, 5);
   ]
+
+let fork_case_d = [ Fork (5, 0); Fork (4, 3); Fork (1, 1); Write (3, 3); Write (0, 6) ]
+
+let fork_case_e = [ Fork (0, 3); Fork (3, 0); Read (2, 19); Write (3, 23) ]
 
 (* ----------------------- single-node VM model ----------------------- *)
 
@@ -519,6 +551,10 @@ let () =
             `Quick (fork_case fork_case_b);
           Alcotest.test_case "promotion drops translations into the copy"
             `Quick (fork_case fork_case_c);
+          Alcotest.test_case "a pull claims nothing in the shadow object"
+            `Quick (fork_case fork_case_d);
+          Alcotest.test_case "a push scan is not a claim" `Quick
+            (fork_case fork_case_e);
         ] );
       ("vm model", [ qtest vm_local_semantics ]);
       ("forwarding", [ Alcotest.test_case "zero caches" `Quick test_zero_caches ]);
