@@ -105,6 +105,14 @@ for seed in 32 44 88 111; do
     --duration-ms 200 --seed "$seed"
 done
 
+echo "== serve strand check (256 nodes, 64,000 req/s, Zipf 0.9 and uniform keys)"
+# the top of the 4-256-node scale curve, hot keys and uniform keys:
+# every request must complete at a fleet size four times the one above
+for zipf in 0.9 0; do
+  dune exec bin/asvm_sim.exe -- serve --nodes 256 --rate 64000 \
+    --duration-ms 100 --zipf "$zipf"
+done
+
 echo "== golden traces against ci/traces.sha256"
 # the --trace-out JSONL of two single faults and two serve cells, one
 # per protocol, is a pure function of the source: every message, note

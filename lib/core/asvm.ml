@@ -249,8 +249,11 @@ type inst = {
      (invalidations, push locks, pager offers: anything whose reply
      waits on an async kernel call or a receive-buffer credit).  If the
      node crashes inside that window, recovery synthesizes each owed
-     answer at its destination so the waiting peer is not stranded. *)
-  mutable i_owed_acks : (int * msg) list;
+     answer at its destination so the waiting peer is not stranded.
+     Keyed by owe order ([i_owe_seq] numbers them): settling one is a
+     table removal, and recovery answers newest first *)
+  i_owed_acks : (int * msg) Int_tbl.t;
+  mutable i_owe_seq : int;
   (* pager-node role: page -> (node, fault generation) the pager last
      granted the page to; serializes simultaneous cold faults on one
      page (single-owner) *)
@@ -1440,15 +1443,22 @@ let answer t node ~obj ~page accepted =
    runs [k] only while the node is still the incarnation that took it
    on. *)
 let owe t node i ~dst msg k =
-  let owed = (dst, msg) in
-  i.i_owed_acks <- owed :: i.i_owed_acks;
+  let seq = i.i_owe_seq in
+  i.i_owe_seq <- seq + 1;
+  Int_tbl.add i.i_owed_acks seq (dst, msg);
   let inc = Network.incarnation t.net node in
   fun result ->
     if Network.incarnation t.net node = inc && not (Network.is_down t.net node)
     then begin
-      i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
+      Int_tbl.remove i.i_owed_acks seq;
       k result
     end
+
+(* The answers [i] still owes, newest first. *)
+let owed_newest_first i =
+  Int_tbl.fold (fun seq owed acc -> (seq, owed) :: acc) i.i_owed_acks []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
+  |> List.map snd
 
 let rec handle t node msg =
   match msg with
@@ -2057,7 +2067,8 @@ let make_inst t ~node ~obj ~size_pages ~sharers ~pagers ~fwd ~shadow =
     i_outstanding = Int_tbl.create 8;
     i_next_gen = 0;
     i_waiting_inbound = Int_tbl.create 8;
-    i_owed_acks = [];
+    i_owed_acks = Int_tbl.create 8;
+    i_owe_seq = 0;
     i_granted = Int_tbl.create 8;
     i_pageouts = Int_tbl.create 8;
     i_stamp = 0;
@@ -2200,8 +2211,8 @@ let crash_node t ~node =
           Queue.iter park ps.p_retries;
           Queue.clear ps.p_retries)
         i.i_pages;
-      owed := i.i_owed_acks @ !owed;
-      i.i_owed_acks <- [])
+      owed := owed_newest_first i @ !owed;
+      Int_tbl.reset i.i_owed_acks)
     victims;
   (* the victim restarts with empty protocol state.  Its static-manager
      role restarts conservative: every page marked ever-owned, so a

@@ -211,7 +211,11 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
     evictions = sum_vm Vm.evictions;
     pageout_runs = sum_vm Vm.pageout_runs;
     pageout_evictions = sum_vm Vm.pageout_evictions;
-    pager_stores = Store_pager.stores (Cluster.default_pager cl);
+    pager_stores =
+      List.fold_left
+        (fun acc pager -> acc + Store_pager.stores pager)
+        0
+        (Cluster.object_pagers cl obj);
     reader_handoffs = pageouts "reader_handoff";
     internode_pageouts = pageouts "internode";
     pageouts_to_pager = pageouts "to_pager";

@@ -63,7 +63,9 @@ type result = {
   evictions : int;  (** {!Asvm_machvm.Vm.evictions} summed over nodes *)
   pageout_runs : int;
   pageout_evictions : int;
-  pager_stores : int;  (** default-pager page returns (eviction step 4) *)
+  pager_stores : int;
+      (** page returns (eviction step 4) summed over every pager of the
+          served object *)
   reader_handoffs : int;  (** ASVM §3.6 step-2 counters; 0 under XMM *)
   internode_pageouts : int;
   pageouts_to_pager : int;

@@ -344,6 +344,126 @@ let test_grant_outlives_requester () =
   Alcotest.(check (option int)) "node 3's write is seen" (Some 77) (read 1);
   Alcotest.(check (list string)) "invariants hold" [] (Invariants.check cl)
 
+(* A reader crashes while it owes invalidation acks.  5 nodes, four
+   pages of a shared object on sharers 1-4; node 1 writes them all
+   (becoming their owner), nodes 2 and 3 read them all.  The kernel call
+   an ack waits on takes 2 x 5 ms here, a wide window.  An STS
+   interposer holds node 2's acks until [release], 100 ms after it is
+   armed; node 1 then writes page 0, and node 3 acks it, then pages
+   1-3, and node 3 crashes while its three acks wait on the kernel.
+   Recovery must synthesize those three at node 1, and only those: each
+   write needs one ack from node 3 and one from node 2, so a missing
+   answer strands a write and a repeated one (or a repeat of page 0's,
+   sent before the crash) completes it before [release]. *)
+let test_owed_acks_at_crash () =
+  let victim = 3 and release = ref infinity in
+  let armed = ref false and victim_acks = ref 0 and held = ref 0 in
+  let invals = ref 0 and crash_at = ref infinity in
+  let cl = ref None in
+  let interposer ~now ~index:_ ~src ~dst ~carries_page =
+    if !armed && not carries_page then begin
+      if src = 2 && dst = 1 then begin
+        incr held;
+        { Asvm_sts.Sts.deliveries = [ !release -. now ] }
+      end
+      else begin
+        if src = victim && dst = 1 then incr victim_acks;
+        if src = 1 && dst = victim && !victim_acks = 1 then begin
+          (* the invalidations for pages 1-3: crash once the last is
+             sent, inside the ack window of all three *)
+          incr invals;
+          if !invals = 3 then begin
+            crash_at := now +. 2.;
+            let cl = Option.get !cl in
+            Engine.schedule (Cluster.engine cl) ~delay:2. (fun () ->
+                Cluster.crash_node cl ~node:victim)
+          end
+        end;
+        Asvm_sts.Sts.pass
+      end
+    end
+    else Asvm_sts.Sts.pass
+  in
+  let cfg = Config.default ~nodes:5 in
+  let asvm = cfg.Config.asvm in
+  let c =
+    Cluster.create
+      {
+        cfg with
+        Config.vm = { cfg.Config.vm with Vm_config.emmi_call_ms = 5. };
+        asvm =
+          {
+            asvm with
+            Asvm_core.Asvm.sts =
+              {
+                asvm.Asvm_core.Asvm.sts with
+                Asvm_sts.Sts.interposer = Some interposer;
+              };
+          };
+      }
+  in
+  cl := Some c;
+  let cl = c in
+  let wpp = (Cluster.config cl).Config.vm.Vm_config.words_per_page in
+  let obj =
+    Cluster.create_shared_object cl ~size_pages:4 ~sharers:[ 1; 2; 3; 4 ] ()
+  in
+  let task n =
+    let t = Cluster.create_task cl ~node:n in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:4
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let t1, t2, t3 = (task 1, task 2, task 3) in
+  let sync what k =
+    let ok = ref false in
+    k (fun () -> ok := true);
+    Cluster.run cl;
+    if not !ok then Alcotest.failf "%s did not complete" what
+  in
+  for page = 0 to 3 do
+    sync "node 1's write" (fun k ->
+        Cluster.write_word cl ~task:t1 ~addr:(page * wpp) ~value:(10 + page) k)
+  done;
+  List.iter
+    (fun t ->
+      for page = 0 to 3 do
+        sync "a read" (fun k ->
+            Cluster.read_word cl ~task:t ~addr:(page * wpp) (fun _ -> k ()))
+      done)
+    [ t2; t3 ];
+  armed := true;
+  release := Cluster.now cl +. 100.;
+  let done_at = Array.make 4 infinity in
+  let write page =
+    Cluster.write_word cl ~task:t1 ~addr:((page * wpp) + 1) ~value:(20 + page)
+      (fun () -> done_at.(page) <- Cluster.now cl)
+  in
+  write 0;
+  Cluster.run cl ~until:(Cluster.now cl +. 40.);
+  Alcotest.(check int) "node 3 acked page 0 before the crash" 1 !victim_acks;
+  for page = 1 to 3 do
+    write page
+  done;
+  Cluster.run cl;
+  Alcotest.(check bool) "node 3 crashed before node 2's acks" true
+    (!crash_at < !release);
+  Alcotest.(check int) "node 2 acked all four pages" 4 !held;
+  Alcotest.(check int) "node 3 sent no other ack" 1 !victim_acks;
+  let snap = Cluster.metrics_snapshot cl in
+  Alcotest.(check int) "no invalidation was in flight at the crash" 0
+    (Asvm_obs.Metrics.counter_total
+       ~where:(fun ls -> List.assoc_opt "event" ls = Some "salvaged")
+       snap "asvm.crash");
+  Array.iteri
+    (fun page at ->
+      Alcotest.(check bool)
+        (Printf.sprintf "page %d's write waited for both acks" page)
+        true
+        (at >= !release && at < infinity))
+    done_at;
+  Alcotest.(check (list string)) "invariants hold" [] (Invariants.check cl)
+
 let () =
   Alcotest.run "crash"
     [
@@ -370,5 +490,7 @@ let () =
             test_salvage_keeps_newer_grant;
           Alcotest.test_case "a write grant outlives its requester" `Quick
             test_grant_outlives_requester;
+          Alcotest.test_case "owed acks are answered once at a crash" `Quick
+            test_owed_acks_at_crash;
         ] );
     ]

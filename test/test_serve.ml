@@ -337,7 +337,14 @@ let check_result label (r : Serve.result) =
     (label ^ ": every latency sampled")
     r.completions r.merged_count;
   Alcotest.(check bool)
-    (label ^ ": oversubscription forced paging") true (r.evictions > 0)
+    (label ^ ": oversubscription forced paging") true (r.evictions > 0);
+  (* the result sums the object's pagers, the registry every pager *)
+  match Metrics.find r.metrics "pager.stores" [] with
+  | Some (Metrics.Gauge_v stores) ->
+    Alcotest.(check int)
+      (label ^ ": pager stores agree with the registry")
+      (int_of_float stores) r.pager_stores
+  | _ -> Alcotest.failf "%s: no pager.stores gauge" label
 
 (* Goodput counts serving time only: ASVM keeps up with the offered
    load, so it must serve at least 90 % of it.  (XMM falls behind.) *)

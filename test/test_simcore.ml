@@ -5,6 +5,7 @@ module Event_queue = Asvm_simcore.Event_queue
 module Station = Asvm_simcore.Station
 module Rng = Asvm_simcore.Rng
 module Stats = Asvm_simcore.Stats
+module Int_tbl = Asvm_simcore.Int_tbl
 
 let test_queue_order () =
   let q = Event_queue.create () in
@@ -270,6 +271,40 @@ let test_linear_fit () =
   Alcotest.(check (float 1e-9)) "intercept" 2.7 intercept;
   Alcotest.(check (float 1e-9)) "slope" 0.48 slope
 
+(* A static manager's pages are [page mod N = node] for N nodes: a key
+   set with stride N.  Each such set, and a contiguous range, must
+   spread over the buckets whatever the first key and the table's
+   starting size. *)
+let test_int_tbl_chains () =
+  let longest ~init keys =
+    let t = Int_tbl.create init in
+    List.iter (fun k -> Int_tbl.replace t k ()) keys;
+    (Int_tbl.stats t).Hashtbl.max_bucket_length
+  in
+  List.iter
+    (fun init ->
+      List.iter
+        (fun stride ->
+          List.iter
+            (fun first ->
+              let keys = List.init 100 (fun k -> first + (k * stride)) in
+              Alcotest.(check bool)
+                (Printf.sprintf "stride %d from %d, table %d: chain <= 4"
+                   stride first init)
+                true
+                (longest ~init keys <= 4))
+            [ 0; 1; stride / 2; stride - 1 ])
+        [ 16; 64; 72; 256; 1024 ];
+      List.iter
+        (fun first ->
+          let keys = List.init 4096 (fun k -> first + k) in
+          Alcotest.(check bool)
+            (Printf.sprintf "range from %d, table %d: chain <= 4" first init)
+            true
+            (longest ~init keys <= 4))
+        [ 0; 1000 ])
+    [ 8; 64; 1024 ]
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -308,5 +343,10 @@ let () =
           Alcotest.test_case "tally" `Quick test_tally;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "linear fit" `Quick test_linear_fit;
+        ] );
+      ( "int_tbl",
+        [
+          Alcotest.test_case "stride and range keys spread over buckets"
+            `Quick test_int_tbl_chains;
         ] );
     ]
