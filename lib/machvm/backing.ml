@@ -12,11 +12,11 @@ let in_memory () =
   {
     store =
       (fun ~obj ~page ~contents ~k ->
-        Pair_tbl.replace table (obj, page) (Contents.snapshot contents);
+        Pair_tbl.replace table obj page (Contents.snapshot contents);
         k ());
     fetch =
       (fun ~obj ~page ~k ->
-        k (Option.map Contents.snapshot (Pair_tbl.find_opt table (obj, page))));
+        k (Option.map Contents.snapshot (Pair_tbl.find_opt table obj page)));
   }
 
 let none =

@@ -97,35 +97,34 @@ let task_rec t task =
 (* ------------------------------------------------------------------ *)
 
 let add_reverse t obj index task vpage =
-  let key = (obj, index) in
   let set =
-    match Pair_tbl.find_opt t.reverse key with
+    match Pair_tbl.find_opt t.reverse obj index with
     | Some s -> s
     | None ->
       let s = Pair_tbl.create 4 in
-      Pair_tbl.add t.reverse key s;
+      Pair_tbl.add t.reverse obj index s;
       s
   in
-  Pair_tbl.replace set (task, vpage) ()
+  Pair_tbl.replace set task vpage ()
 
 let remove_translations t obj index =
-  match Pair_tbl.find_opt t.reverse (obj, index) with
+  match Pair_tbl.find_opt t.reverse obj index with
   | None -> ()
   | Some set ->
     Pair_tbl.iter
-      (fun (task, vpage) () ->
+      (fun task vpage () ->
         match Int_tbl.find_opt t.tasks task with
         | Some tr -> Pmap.remove tr.pmap ~vpage
         | None -> ())
       set;
-    Pair_tbl.remove t.reverse (obj, index)
+    Pair_tbl.remove t.reverse obj index
 
 let downgrade_translations t obj index =
-  match Pair_tbl.find_opt t.reverse (obj, index) with
+  match Pair_tbl.find_opt t.reverse obj index with
   | None -> ()
   | Some set ->
     Pair_tbl.iter
-      (fun (task, vpage) () ->
+      (fun task vpage () ->
         match Int_tbl.find_opt t.tasks task with
         | Some tr -> (
           match Pmap.lookup tr.pmap ~vpage with
@@ -168,10 +167,10 @@ let frame_checksum t ~obj ~page =
     (frame_of t obj page)
 
 let wake t obj page =
-  match Pair_tbl.find_opt t.pending (obj, page) with
+  match Pair_tbl.find_opt t.pending obj page with
   | None -> ()
   | Some p ->
-    Pair_tbl.remove t.pending (obj, page);
+    Pair_tbl.remove t.pending obj page;
     List.iter (fun k -> Engine.schedule t.engine ~delay:0. k) p.waiters
 
 let evict_frame t (o : Vm_object.t) index (fr : Vm_object.frame) =
@@ -185,7 +184,7 @@ let evict_frame t (o : Vm_object.t) index (fr : Vm_object.frame) =
         m.m_data_return ~page:index ~contents:fr.contents ~dirty:fr.dirty)
   | None ->
     if fr.dirty && o.temporary then begin
-      Pair_tbl.replace t.swapped (o.id, index) ();
+      Pair_tbl.replace t.swapped o.id index ();
       t.backing.store ~obj:o.id ~page:index ~contents:fr.contents ~k:ignore
     end
 (* clean pages are re-derivable: zero-fill, the shadow chain, or the
@@ -275,7 +274,7 @@ let try_accept_page t ~obj ~page ~contents ~dirty ~access =
      refusal is what lets the 4-step eviction algorithm converge on the
      pager when the whole machine is out of memory, instead of
      circulating evicted pages between full nodes forever. *)
-  let fault_waiting = Pair_tbl.mem t.pending (obj, page) in
+  let fault_waiting = Pair_tbl.mem t.pending obj page in
   if free_pages t <= 0 && not (fault_waiting && evict_one t) then false
   else begin
     let o = get_object t obj in
@@ -300,7 +299,7 @@ let unwire t ~obj ~page =
 
 let write_protect_object t oid =
   Pair_tbl.iter
-    (fun (o, index) _set -> if o = oid then downgrade_translations t o index)
+    (fun o index _set -> if o = oid then downgrade_translations t o index)
     t.reverse
 
 let make_asymmetric_copy t ~src =
@@ -334,7 +333,7 @@ let inherit_frozen_pages t ~(older : Vm_object.t) ~o_off (c : Vm_object.t) =
   let lacks oi =
     oi >= 0 && oi < older.size_pages
     && (not (Vm_object.is_resident older oi))
-    && not (Pair_tbl.mem t.swapped (older.id, oi))
+    && not (Pair_tbl.mem t.swapped older.id oi)
   in
   List.filter_map
     (fun ci ->
@@ -437,8 +436,8 @@ let unmap t ~task ~start =
   for vpage = e.start to e.start + e.npages - 1 do
     match Pmap.lookup tr.pmap ~vpage with
     | Some trn ->
-      (match Pair_tbl.find_opt t.reverse (trn.backing_obj, trn.index) with
-      | Some set -> Pair_tbl.remove set (task, vpage)
+      (match Pair_tbl.find_opt t.reverse trn.backing_obj trn.index with
+      | Some set -> Pair_tbl.remove set task vpage
       | None -> ());
       Pmap.remove tr.pmap ~vpage
     | None -> ()
@@ -468,7 +467,7 @@ let terminate_object t oid =
       t.resident_total <- t.resident_total - 1)
     (Vm_object.resident_pages o);
   Pair_tbl.iter
-    (fun (obj, page) () -> if obj = oid then Pair_tbl.remove t.swapped (obj, page))
+    (fun obj page () -> if obj = oid then Pair_tbl.remove t.swapped obj page)
     (Pair_tbl.copy t.swapped);
   Int_tbl.remove t.objects oid
 
@@ -490,7 +489,7 @@ type lookup =
 
 let rec lookup_chain t (o : Vm_object.t) index =
   if Vm_object.is_resident o index then L_found (o, index)
-  else if Pair_tbl.mem t.swapped (o.id, index) then L_swapped (o, index)
+  else if Pair_tbl.mem t.swapped o.id index then L_swapped (o, index)
   else if Vm_object.has_manager o then L_manager (o, index)
   else
     match o.shadow with
@@ -521,7 +520,7 @@ let issue_request t (o : Vm_object.t) index desired =
 
 let park t ctx (o : Vm_object.t) index want retry =
   ctx.went_to_manager <- true;
-  match Pair_tbl.find_opt t.pending (o.id, index) with
+  match Pair_tbl.find_opt t.pending o.id index with
   | Some p ->
     p.waiters <- retry :: p.waiters;
     if Prot.compare want p.desired > 0 then begin
@@ -529,7 +528,7 @@ let park t ctx (o : Vm_object.t) index want retry =
       issue_request t o index want
     end
   | None ->
-    Pair_tbl.add t.pending (o.id, index) { desired = want; waiters = [ retry ] };
+    Pair_tbl.add t.pending o.id index { desired = want; waiters = [ retry ] };
     issue_request t o index want
 
 (* ------------------------------------------------------------------ *)
@@ -633,7 +632,7 @@ and fault_write t ctx task vpage (o : Vm_object.t) index k =
 and materialize_for_write t ctx task vpage (o : Vm_object.t) index k =
   let want = Prot.Read_write in
   let again () = fault t ctx task vpage want k in
-  if Pair_tbl.mem t.swapped (o.id, index) then begin
+  if Pair_tbl.mem t.swapped o.id index then begin
     ctx.went_to_manager <- true;
     t.backing.fetch ~obj:o.id ~page:index ~k:(fun contents ->
         (match contents with
@@ -710,7 +709,7 @@ and local_push t (o : Vm_object.t) index then_k =
           head_index >= 0
           && head_index < head.size_pages
           && (not (Vm_object.is_resident head head_index))
-          && not (Pair_tbl.mem t.swapped (head.id, head_index))
+          && not (Pair_tbl.mem t.swapped head.id head_index)
           (* a page evicted to the backing store still belongs to the
              copy: pushing would clobber its snapshot *)
         then
@@ -798,7 +797,7 @@ let push_into_copy_chain t (o : Vm_object.t) page contents =
       head_index >= 0
       && head_index < head.size_pages
       && (not (Vm_object.is_resident head head_index))
-      && not (Pair_tbl.mem t.swapped (head.id, head_index))
+      && not (Pair_tbl.mem t.swapped head.id head_index)
     then begin
       ignore
         (install_frame t head head_index (Contents.snapshot contents) ~dirty:true
@@ -870,7 +869,7 @@ let pull_request t ~obj ~page ~reply =
         match Vm_object.frame s index with
         | Some fr -> answer (Emmi.Pull_contents (Contents.snapshot fr.contents))
         | None ->
-          if Pair_tbl.mem t.swapped (s.id, index) then
+          if Pair_tbl.mem t.swapped s.id index then
             t.backing.fetch ~obj:s.id ~page:index ~k:(function
               | Some c -> answer (Emmi.Pull_contents c)
               | None -> answer Emmi.Pull_zero_fill)
@@ -886,7 +885,7 @@ let pull_request t ~obj ~page ~reply =
       match Vm_object.frame o page with
       | Some fr -> answer (Emmi.Pull_contents (Contents.snapshot fr.contents))
       | None ->
-        if Pair_tbl.mem t.swapped (o.id, page) then
+        if Pair_tbl.mem t.swapped o.id page then
           t.backing.fetch ~obj ~page ~k:(function
             | Some c -> answer (Emmi.Pull_contents c)
             | None -> answer Emmi.Pull_zero_fill)
@@ -929,15 +928,17 @@ let redrive_pending t =
      run: each waiter re-faults from scratch, and [park] then creates a
      fresh entry (and a fresh manager request) rather than appending to
      the stale one. *)
-  let entries = Pair_tbl.fold (fun key p acc -> (key, p) :: acc) t.pending [] in
+  let entries =
+    Pair_tbl.fold (fun obj page p acc -> (obj, page, p) :: acc) t.pending []
+  in
   List.iter
-    (fun (key, p) ->
-      Pair_tbl.remove t.pending key;
+    (fun (obj, page, p) ->
+      Pair_tbl.remove t.pending obj page;
       List.iter (fun k -> Engine.schedule t.engine ~delay:0. k) p.waiters)
     entries
 
 let pending_pages t =
-  Pair_tbl.fold (fun key _ acc -> key :: acc) t.pending []
+  Pair_tbl.fold (fun obj page _ acc -> (obj, page) :: acc) t.pending []
   |> List.sort_uniq compare
 
 let faults t = t.faults

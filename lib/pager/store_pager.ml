@@ -41,14 +41,14 @@ let node t = t.node
 let disk t = t.disk
 
 let preload t ~obj ~page contents =
-  Pair_tbl.replace t.table (obj, page)
+  Pair_tbl.replace t.table obj page
     { data = Contents.snapshot contents; on_disk_only = true }
 
-let has t ~obj ~page = Pair_tbl.mem t.table (obj, page)
+let has t ~obj ~page = Pair_tbl.mem t.table obj page
 
 let request t ~obj ~page ~words k =
   t.supplies <- t.supplies + 1;
-  match Pair_tbl.find_opt t.table (obj, page) with
+  match Pair_tbl.find_opt t.table obj page with
   | Some e when e.on_disk_only ->
     (* cold file page: pay the media read once, then serve from memory *)
     Station.submit t.station
@@ -64,12 +64,12 @@ let request t ~obj ~page ~words k =
         k (Contents.zero ~words))
 
 let remember t ~obj ~page ~contents =
-  match Pair_tbl.find_opt t.table (obj, page) with
+  match Pair_tbl.find_opt t.table obj page with
   | Some e ->
     e.data <- Contents.snapshot contents;
     e.on_disk_only <- false
   | None ->
-    Pair_tbl.replace t.table (obj, page)
+    Pair_tbl.replace t.table obj page
       { data = Contents.snapshot contents; on_disk_only = false }
 
 let clean t ~obj ~page ~contents k =
@@ -98,7 +98,7 @@ let as_backing t =
                 k
                   (Option.map
                      (fun e -> Contents.snapshot e.data)
-                     (Pair_tbl.find_opt t.table (obj, page))))));
+                     (Pair_tbl.find_opt t.table obj page)))));
   }
 
 let supplies t = t.supplies

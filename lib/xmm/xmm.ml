@@ -69,8 +69,9 @@ type mstate = {
   m_node : int;
   m_pager : Store_pager.t;
   m_sharers : int list;
-  (* one byte per page per node: the memory cost the paper criticizes *)
-  m_state : Bytes.t Int_tbl.t;
+  (* one byte per page per node, indexed by node (empty for a node that
+     shares nothing): the memory cost the paper criticizes *)
+  m_state : Bytes.t array;
   m_cleaned : Bytes.t;
   m_busy : unit Int_tbl.t;
   m_queue : msg Queue.t Int_tbl.t;
@@ -113,12 +114,13 @@ type t = {
 let now t = Asvm_simcore.Engine.now (Vm.engine t.vms.(0))
 
 let node_state ms node =
-  match Int_tbl.find_opt ms.m_state node with
-  | Some b -> b
-  | None ->
+  let b = ms.m_state.(node) in
+  if Bytes.length b = ms.m_size then b
+  else begin
     let b = Bytes.make ms.m_size st_invalid in
-    Int_tbl.add ms.m_state node b;
+    ms.m_state.(node) <- b;
     b
+  end
 
 let writer_of ms page ~except =
   List.find_opt
@@ -616,7 +618,7 @@ let register_shared_object t ~obj ~size_pages ~manager_node ~pager ~sharers =
       m_node = manager_node;
       m_pager = pager;
       m_sharers = sharers;
-      m_state = Int_tbl.create 8;
+      m_state = Array.make (Array.length t.vms) Bytes.empty;
       m_cleaned = Bytes.make size_pages '\000';
       m_busy = Int_tbl.create 8;
       m_queue = Int_tbl.create 8;
@@ -676,9 +678,8 @@ let crash_node t ~node =
   Int_tbl.iter
     (fun _ ms ->
       (* the victim's cache is gone: it holds nothing, anywhere *)
-      (match Int_tbl.find_opt ms.m_state node with
-      | Some row -> Bytes.fill row 0 ms.m_size st_invalid
-      | None -> ());
+      let row = ms.m_state.(node) in
+      Bytes.fill row 0 (Bytes.length row) st_invalid;
       (* requests the victim originated and never got served are moot *)
       Int_tbl.iter
         (fun _page q ->
@@ -724,7 +725,7 @@ let rejoin_node t ~node =
 
 let state_bytes t ~obj =
   let ms = manager_for t obj in
-  Int_tbl.length ms.m_state * ms.m_size
+  Array.fold_left (fun acc row -> acc + Bytes.length row) 0 ms.m_state
 
 let export_copy t ~src_node ~src_obj ~dst_node ~dst_obj =
   let vm = t.vms.(src_node) in

@@ -6,6 +6,7 @@ module Station = Asvm_simcore.Station
 module Rng = Asvm_simcore.Rng
 module Stats = Asvm_simcore.Stats
 module Int_tbl = Asvm_simcore.Int_tbl
+module Pair_tbl = Asvm_simcore.Pair_tbl
 
 let test_queue_order () =
   let q = Event_queue.create () in
@@ -305,6 +306,194 @@ let test_int_tbl_chains () =
         [ 0; 1000 ])
     [ 8; 64; 1024 ]
 
+(* [Int_tbl] and [Pair_tbl] copy [Hashtbl]'s chained table so that
+   iteration order, and every simulated result that follows from it,
+   stays that of [Hashtbl.Make] with the same hash.  Each is driven
+   beside such a reference through random operation sequences that grow
+   it through several doublings, empty it, copy it and add to it during
+   a traversal, comparing every result, the length and the iteration
+   order. *)
+module Int_ref = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = (x + (x lsr 3) + (x lsr 7) + (x lsr 14)) land max_int
+end)
+
+module Pair_ref = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash = Hashtbl.hash
+end)
+
+(* mostly from a range the sequence revisits, sometimes anywhere *)
+let random_key rs =
+  match Random.State.int rs 10 with
+  | 0 -> Random.State.bits rs - Random.State.bits rs
+  | 1 -> List.nth [ 0; -1; max_int; min_int ] (Random.State.int rs 4)
+  | _ -> Random.State.int rs 3000
+
+(* [step rs n] applies the [n]-th random operation to the table and its
+   reference and returns the two results, printed; every step compares
+   the lengths and every 200th the iteration orders. *)
+let drive ~name ~step ~lengths ~orders =
+  for seed = 1 to 5 do
+    let rs = Random.State.make [| seed |] in
+    for n = 1 to 4000 do
+      let here what =
+        Printf.sprintf "%s seed %d step %d: %s" name seed n what
+      in
+      let expected, got = step rs n in
+      Alcotest.(check string) (here "result") expected got;
+      let expected, got = lengths () in
+      Alcotest.(check int) (here "length") expected got;
+      if n mod 200 = 0 then begin
+        let expected, got = orders () in
+        Alcotest.(check string) (here "iteration order") expected got
+      end
+    done
+  done
+
+let show_opt = function None -> "none" | Some v -> string_of_int v
+
+let show_bindings show_key l =
+  String.concat ";"
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" (show_key k) v) l)
+
+(* the bindings as [iter] visits them, then as [fold] does *)
+let listing show_key iter fold tbl =
+  let l = ref [] in
+  iter (fun k v -> l := (k, v) :: !l) tbl;
+  let folded = fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  show_bindings show_key (List.rev !l)
+  ^ " / "
+  ^ show_bindings show_key (List.rev folded)
+
+(* iterate, adding one of [fresh] at each binding visited; the visits *)
+let visit_adding show_key iter add tbl fresh =
+  let seen = ref [] and n = ref 0 in
+  iter
+    (fun k v ->
+      if !n < Array.length fresh then add tbl fresh.(!n) !n;
+      incr n;
+      seen := (k, v) :: !seen)
+    tbl;
+  show_bindings show_key (List.rev !seen)
+
+let test_int_tbl_matches_hashtbl () =
+  let r = Int_ref.create 16 and t = Int_tbl.create 16 in
+  let both f g = (f r, g t) in
+  let step rs n =
+    let k = random_key rs in
+    let op = Random.State.int rs 1000 in
+    if op < 400 then
+      both
+        (fun r -> Int_ref.replace r k n; "")
+        (fun t -> Int_tbl.replace t k n; "")
+    else if op < 550 then
+      both (fun r -> Int_ref.add r k n; "") (fun t -> Int_tbl.add t k n; "")
+    else if op < 650 then
+      both (fun r -> Int_ref.remove r k; "") (fun t -> Int_tbl.remove t k; "")
+    else if op < 800 then
+      both
+        (fun r -> show_opt (Int_ref.find_opt r k))
+        (fun t -> show_opt (Int_tbl.find_opt t k))
+    else if op < 850 then
+      let find f tbl =
+        match f tbl k with v -> string_of_int v | exception Not_found -> "none"
+      in
+      both (find Int_ref.find) (find Int_tbl.find)
+    else if op < 995 then
+      both
+        (fun r -> string_of_bool (Int_ref.mem r k))
+        (fun t -> string_of_bool (Int_tbl.mem t k))
+    else if op < 997 then
+      let fresh = Array.init 64 (fun _ -> random_key rs) in
+      both
+        (fun r -> visit_adding string_of_int Int_ref.iter Int_ref.add r fresh)
+        (fun t -> visit_adding string_of_int Int_tbl.iter Int_tbl.add t fresh)
+    else if op < 999 then
+      both (fun r -> Int_ref.reset r; "") (fun t -> Int_tbl.reset t; "")
+    else both (fun r -> Int_ref.clear r; "") (fun t -> Int_tbl.clear t; "")
+  in
+  drive ~name:"int_tbl" ~step
+    ~lengths:(fun () -> both Int_ref.length Int_tbl.length)
+    ~orders:(fun () ->
+      both
+        (listing string_of_int Int_ref.iter Int_ref.fold)
+        (listing string_of_int Int_tbl.iter Int_tbl.fold))
+
+let test_pair_tbl_matches_hashtbl () =
+  let r = ref (Pair_ref.create 16) and t = ref (Pair_tbl.create 16) in
+  let both f g = (f !r, g !t) in
+  let show_pair (a, b) = Printf.sprintf "%d,%d" a b in
+  (* [Pair_tbl] as a table over pairs, to share the listings *)
+  let iter f t = Pair_tbl.iter (fun a b v -> f (a, b) v) t in
+  let fold f t = Pair_tbl.fold (fun a b v acc -> f (a, b) v acc) t in
+  let add t (a, b) v = Pair_tbl.add t a b v in
+  let step rs n =
+    let a = random_key rs and b = random_key rs in
+    let op = Random.State.int rs 1000 in
+    (* few second halves, so that pairs share a first half *)
+    let b = if op mod 3 = 0 then b else b mod 8 in
+    if op < 400 then
+      both
+        (fun r -> Pair_ref.replace r (a, b) n; "")
+        (fun t -> Pair_tbl.replace t a b n; "")
+    else if op < 550 then
+      both
+        (fun r -> Pair_ref.add r (a, b) n; "")
+        (fun t -> Pair_tbl.add t a b n; "")
+    else if op < 650 then
+      both
+        (fun r -> Pair_ref.remove r (a, b); "")
+        (fun t -> Pair_tbl.remove t a b; "")
+    else if op < 850 then
+      both
+        (fun r -> show_opt (Pair_ref.find_opt r (a, b)))
+        (fun t -> show_opt (Pair_tbl.find_opt t a b))
+    else if op < 995 then
+      both
+        (fun r -> string_of_bool (Pair_ref.mem r (a, b)))
+        (fun t -> string_of_bool (Pair_tbl.mem t a b))
+    else if op < 997 then
+      let fresh =
+        Array.init 64 (fun _ -> (random_key rs, random_key rs mod 8))
+      in
+      both
+        (fun r -> visit_adding show_pair Pair_ref.iter Pair_ref.add r fresh)
+        (fun t -> visit_adding show_pair iter add t fresh)
+    else if op < 999 then begin
+      r := Pair_ref.copy !r;
+      t := Pair_tbl.copy !t;
+      ("", "")
+    end
+    else
+      both (fun r -> Pair_ref.reset r; "") (fun t -> Pair_tbl.reset t; "")
+  in
+  drive ~name:"pair_tbl" ~step
+    ~lengths:(fun () -> both Pair_ref.length Pair_tbl.length)
+    ~orders:(fun () ->
+      both
+        (listing show_pair Pair_ref.iter Pair_ref.fold)
+        (listing show_pair iter fold))
+
+let test_pair_tbl_hash () =
+  let special =
+    [ 0; 1; -1; 2; -2; 1 lsl 31; -(1 lsl 31); 1 lsl 32; max_int; min_int ]
+  in
+  let check a b =
+    Alcotest.(check int)
+      (Printf.sprintf "hash %d %d" a b)
+      (Hashtbl.hash (a, b)) (Pair_tbl.hash a b)
+  in
+  List.iter (fun a -> List.iter (check a) special) special;
+  let rs = Random.State.make [| 24 |] in
+  for _ = 1 to 100_000 do
+    check (random_key rs) (random_key rs)
+  done
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -348,5 +537,14 @@ let () =
         [
           Alcotest.test_case "stride and range keys spread over buckets"
             `Quick test_int_tbl_chains;
+          Alcotest.test_case "matches Hashtbl.Make, order included" `Quick
+            test_int_tbl_matches_hashtbl;
+        ] );
+      ( "pair_tbl",
+        [
+          Alcotest.test_case "hash is Hashtbl.hash of the pair" `Quick
+            test_pair_tbl_hash;
+          Alcotest.test_case "matches Hashtbl.Make, order included" `Quick
+            test_pair_tbl_matches_hashtbl;
         ] );
     ]
