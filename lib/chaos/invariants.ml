@@ -2,6 +2,7 @@ module Cluster = Asvm_cluster.Cluster
 module Config = Asvm_cluster.Config
 module Asvm = Asvm_core.Asvm
 module Vm = Asvm_machvm.Vm
+module Vm_object = Asvm_machvm.Vm_object
 module Contents = Asvm_machvm.Contents
 module Prot = Asvm_machvm.Prot
 
@@ -27,7 +28,7 @@ let copies_of vms ~sharers ~obj ~page =
           Some { c_node = node; c_access = access; c_sum = sum })
     sharers
 
-let check cl =
+let check ?pages cl =
   let violations = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let nodes = (Cluster.config cl).Config.nodes in
@@ -39,7 +40,7 @@ let check cl =
   (match asvm with
   | None -> ()
   | Some a ->
-    List.iter (fun v -> bad "asvm: %s" v) (Asvm.check_invariants a);
+    List.iter (fun v -> bad "asvm: %s" v) (Asvm.check_invariants ?pages a);
     for node = 0 to nodes - 1 do
       let r = Asvm.buffers_reserved a ~node in
       if r <> 0 then
@@ -61,14 +62,34 @@ let check cl =
         List.fold_left
           (fun acc node ->
             match (acc, Vm.find_object vms.(node) obj) with
-            | None, Some o -> Some o.Asvm_machvm.Vm_object.size_pages
+            | None, Some o -> Some o.Vm_object.size_pages
             | acc, _ -> acc)
           None sharers
       in
       match size with
       | None -> bad "obj %d: registered but instantiated on no sharer" obj
       | Some size ->
-        for page = 0 to size - 1 do
+        (* a page resident on no sharer has no copy to compare, and one
+           no node owns has no reader list *)
+        let pages =
+          match pages with
+          | Some pages -> pages ~obj ~size
+          | None ->
+            Vm_object.pages_marked ~size (fun mark ->
+                Option.iter
+                  (fun a -> List.iter mark (Asvm.owned_pages a ~obj))
+                  asvm;
+                List.iter
+                  (fun node ->
+                    match Vm.find_object vms.(node) obj with
+                    | Some o ->
+                      Asvm_simcore.Int_tbl.iter
+                        (fun page _ -> mark page)
+                        o.Vm_object.resident
+                    | None -> ())
+                  sharers)
+        in
+        List.iter (fun page ->
           let copies = copies_of vms ~sharers ~obj ~page in
           (* single writer, and a writer excludes every other copy *)
           (match List.filter (fun c -> c.c_access = Prot.Read_write) copies with
@@ -138,7 +159,7 @@ let check cl =
                         "obj %d page %d: node %d holds a copy the owner's \
                          reader list does not cover"
                         obj page c.c_node)
-                  copies)
-        done)
+                  copies))
+          pages)
     (Cluster.registered_objects cl);
   List.rev !violations

@@ -29,5 +29,12 @@
     system state is coherent.  Callers report violations together with
     the seed and fault plan so they can be replayed exactly. *)
 
-(** Audit [cluster]; must be quiescent. *)
-val check : Asvm_cluster.Cluster.t -> string list
+(** Audit [cluster]; must be quiescent.  The per-page checks visit the
+    pages resident on some sharer or owned by some node, ascending, so
+    the cost follows what is resident; [pages ~obj ~size] replaces that
+    set, here and in {!Asvm_core.Asvm.check_invariants} (a test passes
+    every page to compare the two walks). *)
+val check :
+  ?pages:(obj:Asvm_machvm.Ids.obj_id -> size:int -> int list) ->
+  Asvm_cluster.Cluster.t ->
+  string list

@@ -214,6 +214,10 @@ val is_owner : t -> node:int -> obj:Asvm_machvm.Ids.obj_id -> page:int -> bool
 (** Nodes with read access registered at the owner, if an owner exists. *)
 val readers : t -> obj:Asvm_machvm.Ids.obj_id -> page:int -> int list option
 
+(** The pages of [obj] some node owns, ascending.  For invariant checks:
+    {!readers} is [None] on every other page. *)
+val owned_pages : t -> obj:Asvm_machvm.Ids.obj_id -> int list
+
 (** Audit the protocol's global invariants on a quiescent system (run
     the engine dry first). Returns human-readable violations; the empty
     list means:
@@ -224,5 +228,13 @@ val readers : t -> obj:Asvm_machvm.Ids.obj_id -> page:int -> int list option
       owner itself;
     - kernel write access implies ownership (single writer);
     - no parked foreign requests, pager lookups waiting on a pageout,
-      or unanswered continuations remain. *)
-val check_invariants : t -> string list
+      or unanswered continuations remain.
+
+    The per-page checks visit the pages some instance owns or some
+    instance's node holds, ascending: the cost follows what is resident,
+    not the object's size.  [pages ~obj ~size] replaces that set; a test
+    passes every page to compare the two walks. *)
+val check_invariants :
+  ?pages:(obj:Asvm_machvm.Ids.obj_id -> size:int -> int list) ->
+  t ->
+  string list

@@ -46,6 +46,16 @@ let remove t ~page = Int_tbl.remove t.resident page
 let resident_pages t =
   Int_tbl.fold (fun page _ acc -> page :: acc) t.resident [] |> List.sort compare
 
+let pages_marked ~size mark_all =
+  let marks = Bytes.make size '\000' in
+  mark_all (fun page ->
+      if page >= 0 && page < size then Bytes.set marks page '\001');
+  let rec collect page acc =
+    if page < 0 then acc
+    else collect (page - 1) (if Bytes.get marks page = '\000' then acc else page :: acc)
+  in
+  collect (size - 1) []
+
 
 let page_version t page =
   match Int_tbl.find_opt t.page_versions page with Some v -> v | None -> 0

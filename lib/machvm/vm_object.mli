@@ -49,6 +49,12 @@ val install : t -> page:int -> frame -> unit
 val remove : t -> page:int -> unit
 val resident_pages : t -> int list
 
+(** [pages_marked ~size f] calls [f mark] and returns the pages in
+    [0, size) that [f] passed to [mark], ascending, each once.  It costs
+    a byte per page, no sort: audits use it to visit only the pages some
+    table names. *)
+val pages_marked : size:int -> ((int -> unit) -> unit) -> int list
+
 val page_version : t -> int -> int
 val set_page_version : t -> int -> int -> unit
 

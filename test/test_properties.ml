@@ -186,7 +186,7 @@ type op = Write of int * int | Fork of int * int | Read of int * int
    global sweeps (with no node down and static forwarding on, every
    fault must reach an owner or the pager without one) and the chaos
    invariant checker's findings. *)
-let run_fork_ops mm ops =
+let run_fork_ops ?inspect mm ops =
   let nodes = 4 in
   let pages = 3 in
   let words = pages * wpp in
@@ -199,8 +199,17 @@ let run_fork_ops mm ops =
   let refs = ref [| Array.make words 0 |] in
   let value = ref 0 in
   (* each op runs for at most a simulated second: a request that
-     circled would otherwise hang the run instead of failing its op *)
-  let run () = Cluster.run ~until:(Cluster.now cl +. 1000.) cl in
+     circled would otherwise hang the run instead of failing its op;
+     [inspect] also sees the cluster half a millisecond into each op,
+     with its messages in flight *)
+  let run () =
+    Option.iter
+      (fun inspect ->
+        Cluster.run ~until:(Cluster.now cl +. 0.5) cl;
+        inspect cl)
+      inspect;
+    Cluster.run ~until:(Cluster.now cl +. 1000.) cl
+  in
   let rec go = function
     | [] -> Ok ()
     | op :: rest -> (
@@ -243,6 +252,7 @@ let run_fork_ops mm ops =
   match go ops with
   | Error _ as e -> e
   | Ok () ->
+    Option.iter (fun inspect -> inspect cl) inspect;
     let sweeps =
       Asvm_obs.Metrics.counter_total
         ~where:(fun ls -> List.assoc_opt "mechanism" ls = Some "global_sweep")
@@ -312,6 +322,115 @@ let fork_case_c =
 let fork_case_d = [ Fork (5, 0); Fork (4, 3); Fork (1, 1); Write (3, 3); Write (0, 6) ]
 
 let fork_case_e = [ Fork (0, 3); Fork (3, 0); Read (2, 19); Write (3, 23) ]
+
+(* ----------------------- audits ----------------------- *)
+
+(* Both audits visit only the pages some node owns or holds.  Walking
+   every page of every object instead must give the same findings in
+   the same order: on the fork property's op sequences, at each op's
+   mid-flight state and at its end, and on clusters with planted
+   faults. *)
+let every_page ~obj:_ ~size = List.init size Fun.id
+
+(* the two walks' findings of both audits, as (expected, got) *)
+let audits cl =
+  let asvm =
+    match Cluster.backend cl with
+    | `Asvm a ->
+      ( Asvm_core.Asvm.check_invariants ~pages:every_page a,
+        Asvm_core.Asvm.check_invariants a )
+    | `Xmm _ -> ([], [])
+  in
+  (asvm, (Asvm_chaos.Invariants.check ~pages:every_page cl, Asvm_chaos.Invariants.check cl))
+
+let audits_walk_what_matters mm =
+  let name =
+    Printf.sprintf "%s audits of owned and resident pages match the full walk"
+      (Config.mm_name mm)
+  in
+  QCheck.Test.make ~name ~count:15
+    QCheck.(
+      small_list
+        (triple (int_bound 2) (int_bound 5) (pair (int_bound 3) (int_bound 50))))
+    (fun raw_ops ->
+      let words = 3 * wpp in
+      let same = ref true in
+      let inspect cl =
+        let (e1, g1), (e2, g2) = audits cl in
+        if e1 <> g1 || e2 <> g2 then same := false
+      in
+      ignore
+        (run_fork_ops ~inspect mm
+           (List.map
+              (fun (kind, gen_pick, (node, addr_pick)) ->
+                match kind with
+                | 0 -> Write (gen_pick, addr_pick mod words)
+                | 1 -> Fork (gen_pick, node)
+                | _ -> Read (gen_pick, addr_pick mod words))
+              raw_ops));
+      !same)
+
+(* A 16-page object shared by nodes 0-2: node 1 wrote pages 2, 5 and 9,
+   nodes 0 and 2 read page 2 and node 2 read page 5.  [plant] then
+   corrupts the quiesced cluster behind the protocol's back, on two
+   pages where it can, so that the findings' order is checked too. *)
+let planted_fault mm plant () =
+  let cl = Cluster.create (Config.with_mm (Config.default ~nodes:3) mm) in
+  let obj =
+    Cluster.create_shared_object cl ~size_pages:16 ~sharers:[ 0; 1; 2 ] ()
+  in
+  let task node =
+    let t = Cluster.create_task cl ~node in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:16
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let tasks = Array.init 3 task in
+  List.iter
+    (fun page ->
+      Cluster.write_word cl ~task:tasks.(1) ~addr:(page * wpp) ~value:page
+        ignore)
+    [ 2; 5; 9 ];
+  Cluster.run cl;
+  List.iter
+    (fun (node, page) ->
+      Cluster.read_word cl ~task:tasks.(node) ~addr:(page * wpp) ignore)
+    [ (0, 2); (2, 2); (2, 5) ];
+  Cluster.run cl;
+  let frame node page =
+    match
+      Asvm_machvm.Vm_object.frame
+        (Asvm_machvm.Vm.get_object (Cluster.node_vm cl node) obj)
+        page
+    with
+    | Some fr -> fr
+    | None -> Alcotest.failf "node %d should hold page %d" node page
+  in
+  plant cl ~obj ~frame;
+  let (e1, g1), (e2, g2) = audits cl in
+  Alcotest.(check bool) "the planted fault is found" true (e2 <> []);
+  Alcotest.(check (list string)) "Asvm.check_invariants" e1 g1;
+  Alcotest.(check (list string)) "Invariants.check" e2 g2
+
+(* node 2's copies of pages 2 and 5 differ from the others *)
+let plant_fork _cl ~obj:_ ~frame =
+  List.iter
+    (fun page ->
+      Asvm_machvm.Contents.set (frame 2 page).Asvm_machvm.Vm_object.contents
+        0 (-1))
+    [ 2; 5 ]
+
+(* node 2's kernel may write pages 2 and 5 *)
+let plant_writer _cl ~obj:_ ~frame =
+  List.iter
+    (fun page -> (frame 2 page).Asvm_machvm.Vm_object.access <- Prot.Read_write)
+    [ 2; 5 ]
+
+(* the owner of page 9, its only holder, loses its frame: the page is
+   owned but resident nowhere *)
+let plant_lost_frame cl ~obj ~frame:_ =
+  let o = Asvm_machvm.Vm.get_object (Cluster.node_vm cl 1) obj in
+  Asvm_machvm.Vm_object.remove o ~page:9
 
 (* ----------------------- single-node VM model ----------------------- *)
 
@@ -555,6 +674,21 @@ let () =
             `Quick (fork_case fork_case_d);
           Alcotest.test_case "a push scan is not a claim" `Quick
             (fork_case fork_case_e);
+        ] );
+      ( "audits",
+        [
+          qtest (audits_walk_what_matters Config.Mm_asvm);
+          qtest (audits_walk_what_matters Config.Mm_xmm);
+          Alcotest.test_case "asvm forked page" `Quick
+            (planted_fault Config.Mm_asvm plant_fork);
+          Alcotest.test_case "xmm forked page" `Quick
+            (planted_fault Config.Mm_xmm plant_fork);
+          Alcotest.test_case "asvm writer without ownership" `Quick
+            (planted_fault Config.Mm_asvm plant_writer);
+          Alcotest.test_case "xmm writer beside readers" `Quick
+            (planted_fault Config.Mm_xmm plant_writer);
+          Alcotest.test_case "asvm owner without its frame" `Quick
+            (planted_fault Config.Mm_asvm plant_lost_frame);
         ] );
       ("vm model", [ qtest vm_local_semantics ]);
       ("forwarding", [ Alcotest.test_case "zero caches" `Quick test_zero_caches ]);
