@@ -464,6 +464,47 @@ let test_owed_acks_at_crash () =
     done_at;
   Alcotest.(check (list string)) "invariants hold" [] (Invariants.check cl)
 
+(* A pageout offer whose evictor died in flight opens no pageout
+   window.  Node 1 crashes 100 ms into a 16-node serving window and
+   rejoins 0.5 ms later.  An offer it sent before the crash reaches the
+   pager as a dead letter from a dead sender; applied verbatim, it
+   opened a window for node 1, the pager's grant went to the rejoined
+   incarnation, which ignores it, and every lookup for the page waited
+   in the window for good: 3,202 of the 3,211 requests completed, and
+   the checker found "node 0 holds 4 lookups for page 913 behind a
+   pageout from node 1".  The run fails if a request is still
+   outstanding 10 s into the window. *)
+let test_dead_evictor_offer () =
+  let findings = ref [] in
+  let on_start cl =
+    let eng = Cluster.engine cl in
+    Engine.schedule eng ~delay:100. (fun () -> Cluster.crash_node cl ~node:1);
+    Engine.schedule eng ~delay:100.5 (fun () ->
+        Cluster.rejoin_node cl ~node:1);
+    Engine.schedule eng ~delay:10_000. (fun () ->
+        let snap = Cluster.metrics_snapshot cl in
+        let issued = Asvm_obs.Metrics.counter_total snap "serve.requests" in
+        let done_ = Asvm_obs.Metrics.counter_total snap "serve.completions" in
+        if done_ < issued then
+          Alcotest.failf "%d of %d requests still outstanding 10 s in"
+            (issued - done_) issued)
+  in
+  let r =
+    Asvm_serve.Serve.run ~mm:Config.Mm_asvm ~on_start
+      ~inspect:(fun cl -> findings := Invariants.check cl)
+      {
+        Asvm_serve.Serve.default_params with
+        nodes = 16;
+        process = Asvm_serve.Arrival.Poisson { rate_per_s = 4000. };
+        duration_ms = 800.;
+        key_dist = Asvm_serve.Arrival.Uniform;
+        seed = 42;
+      }
+  in
+  Alcotest.(check int) "the cell's arrivals" 3211 r.requests;
+  Alcotest.(check int) "every request completes" r.requests r.completions;
+  Alcotest.(check (list string)) "invariants hold" [] !findings
+
 let () =
   Alcotest.run "crash"
     [
@@ -492,5 +533,7 @@ let () =
             test_grant_outlives_requester;
           Alcotest.test_case "owed acks are answered once at a crash" `Quick
             test_owed_acks_at_crash;
+          Alcotest.test_case "a dead evictor's offer opens no window" `Quick
+            test_dead_evictor_offer;
         ] );
     ]
