@@ -494,8 +494,8 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Regenerate the paper's tables and figures next to the published \
-          numbers, the DESIGN.md ablations, and the harness benchmarks \
-          that write BENCH_*.json.")
+          numbers, the DESIGN.md ablations, and the chaos and serving \
+          benchmarks that write BENCH_*.json.")
     Term.(
       const run $ names_term $ quick_term $ metrics_term $ jobs_term
       $ seeds_term)

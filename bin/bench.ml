@@ -1,18 +1,16 @@
 (* The experiments behind [asvm-sim bench]: every table and figure of
    the paper's evaluation section (section 4) and the DESIGN.md
-   ablations, printed next to the published numbers, plus the harness
-   benchmarks that write BENCH_*.json.  [experiments] at the end is the
-   one table of them.
+   ablations, printed next to the published numbers, plus the chaos
+   soak and the serving bench, which write BENCH_*.json.  Every number
+   is simulated; perfbench/ measures the host.  [experiments] at the
+   end is the one table of them.
 
    Every paper experiment:  asvm-sim bench
    One experiment:          asvm-sim bench table1
    Quick mode:              asvm-sim bench --quick table3
    Parallel cells:          asvm-sim bench table3 --jobs 4
-   Harness speed:           asvm-sim bench selfbench
-   Page-store bench:        asvm-sim bench pagestore
    Chaos soak:              asvm-sim bench chaos --seeds 10
-   Serving SLO bench:       asvm-sim bench serve
-   Microbenchmarks:         asvm-sim bench bechamel *)
+   Serving SLO bench:       asvm-sim bench serve *)
 
 module Config = Asvm_cluster.Config
 module Fault_micro = Asvm_workloads.Fault_micro
@@ -536,440 +534,6 @@ let ablation_striping () =
   pf "several I/O nodes raises it — the PFS/UFS merger of section 6.@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  header "Bechamel microbenchmarks (wall-clock cost of the simulator itself)";
-  let open Bechamel in
-  let open Toolkit in
-  let stage f = Staged.stage f in
-  let tests =
-    Test.make_grouped ~name:"asvm"
-      [
-        Test.make ~name:"event_queue/1k add+pop"
-          (stage (fun () ->
-               let q = Asvm_simcore.Event_queue.create () in
-               for i = 0 to 999 do
-                 Asvm_simcore.Event_queue.add q
-                   ~time:(float_of_int ((i * 7919) mod 1000))
-                   ~seq:i ignore
-               done;
-               while Asvm_simcore.Event_queue.pop q <> None do
-                 ()
-               done));
-        Test.make ~name:"hint_cache/1k put+find"
-          (stage (fun () ->
-               let c = Asvm_core.Hint_cache.create ~capacity:256 in
-               for i = 0 to 999 do
-                 Asvm_core.Hint_cache.put c ~page:(i mod 512) i;
-                 ignore (Asvm_core.Hint_cache.find c ~page:(i mod 512))
-               done));
-        Test.make ~name:"table1/one ASVM write fault"
-          (stage (fun () ->
-               ignore
-                 (Fault_micro.measure ~nodes:8 ~mm:Config.Mm_asvm
-                    (Fault_micro.Write_fault { read_copies = 2 }))));
-        Test.make ~name:"figure10/one upgrade fault"
-          (stage (fun () ->
-               ignore
-                 (Fault_micro.measure ~nodes:8 ~mm:Config.Mm_asvm
-                    (Fault_micro.Write_upgrade { read_copies = 2 }))));
-        Test.make ~name:"figure11/chain of 3"
-          (stage (fun () ->
-               ignore
-                 (Copy_chain.measure ~mm:Config.Mm_asvm ~chain:3 ~pages:4 ())));
-        Test.make ~name:"table2/4-node 1MB file read"
-          (stage (fun () ->
-               ignore
-                 (File_io.read_test ~mm:Config.Mm_asvm ~nodes:4 ~file_mb:1 ())));
-        Test.make ~name:"table3/small EM3D"
-          (stage (fun () ->
-               ignore
-                 (Em3d.run ~mm:Config.Mm_asvm
-                    { cells = 8000; nodes = 4; iterations = 5; seed = 7 })));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> pf "no results@."
-  | Some per_test ->
-    let rows =
-      Hashtbl.fold (fun name o acc -> (name, o) :: acc) per_test []
-      |> List.sort compare
-    in
-    pf "%-44s %16s@." "benchmark" "time/run";
-    rule ();
-    List.iter
-      (fun (name, o) ->
-        match Analyze.OLS.estimates o with
-        | Some (ns :: _) ->
-          if ns > 1e6 then pf "%-44s %13.3f ms@." name (ns /. 1e6)
-          else if ns > 1e3 then pf "%-44s %13.3f us@." name (ns /. 1e3)
-          else pf "%-44s %13.1f ns@." name ns
-        | Some [] | None -> pf "%-44s %16s@." name "n/a")
-      rows);
-  rule ()
-
-(* ------------------------------------------------------------------ *)
-(* Selfbench: wall-clock speed of the harness itself                  *)
-(* ------------------------------------------------------------------ *)
-
-(* How fast does the simulator regenerate the paper's numbers?  A fixed
-   batch of representative cells (one per table/figure family) runs
-   [selfbench_reps] rounds sequentially, then the same rounds on the
-   pool.  Each cell's set-up (workload call to its [on_start]: input,
-   cluster build, warm-up) and run ([on_start] to return) are timed and
-   their minor words counted separately, because the small Table 1
-   cells allocate mostly while building their cluster.  Per cell the
-   report gives the minimum and median over the sequential rounds;
-   events/second and the speedup come from the two batches' totals.
-   Wall clock is Unix.gettimeofday: Sys.time sums CPU across domains
-   and would hide any parallel speedup. *)
-
-let selfbench_reps ~quick = if quick then 3 else 5
-
-let selfbench_cells ~quick =
-  let em3d_cells = if quick then 8_000 else 32_000 in
-  let em3d_iters = if quick then 3 else 10 in
-  let file_mb = if quick then 1 else 4 in
-  let chain = if quick then 4 else 8 in
-  let fault label mm kind =
-    ( label,
-      fun ~on_start ->
-        (Fault_micro.measure_instrumented ~on_start ~mm kind)
-          .Fault_micro.run_metrics )
-  in
-  let em3d label mm =
-    ( label,
-      fun ~on_start ->
-        (Em3d.run ~mm ~on_start
-           {
-             (Em3d.default_params ~cells:em3d_cells ~nodes:8) with
-             iterations = em3d_iters;
-           })
-          .Em3d.metrics )
-  in
-  [
-    fault "table1/asvm_write_fault" Config.Mm_asvm
-      (Fault_micro.Write_fault { read_copies = 2 });
-    fault "table1/xmm_write_fault" Config.Mm_xmm
-      (Fault_micro.Write_fault { read_copies = 2 });
-    fault "table1/asvm_read_fault" Config.Mm_asvm
-      (Fault_micro.Read_fault { nth_reader = 2 });
-    fault "table1/xmm_read_fault" Config.Mm_xmm
-      (Fault_micro.Read_fault { nth_reader = 2 });
-    ( "figure11/asvm_chain",
-      fun ~on_start ->
-        (Copy_chain.measure ~mm:Config.Mm_asvm ~chain ~on_start ())
-          .Copy_chain.metrics );
-    ( "figure11/xmm_chain",
-      fun ~on_start ->
-        (Copy_chain.measure ~mm:Config.Mm_xmm ~chain ~on_start ())
-          .Copy_chain.metrics );
-    ( "table2/asvm_read_16",
-      fun ~on_start ->
-        (File_io.read_test ~mm:Config.Mm_asvm ~nodes:16 ~file_mb ~on_start ())
-          .File_io.metrics );
-    ( "table2/xmm_write_16",
-      fun ~on_start ->
-        (File_io.write_test ~mm:Config.Mm_xmm ~nodes:16 ~file_mb ~on_start ())
-          .File_io.metrics );
-    em3d "table3/asvm_em3d" Config.Mm_asvm;
-    em3d "table3/xmm_em3d" Config.Mm_xmm;
-  ]
-
-let engine_events snap =
-  match Metrics.find snap "engine.events" [] with
-  | Some (Metrics.Gauge_v v) -> int_of_float v
-  | _ -> 0
-
-(* One timed execution of a cell.  [Gc.minor_words] and [Gc.quick_stat]
-   counters are domain-local in OCaml 5 and each cell runs entirely
-   inside one pool domain, so the deltas isolate the cell.  Minor words
-   per event is the tracked number: it is host-independent, unlike wall
-   clock. *)
-type selfbench_sample = {
-  sb_events : int;
-  sb_setup_s : float;
-  sb_run_s : float;
-  sb_setup_minor : float;  (* minor words from the call to [on_start] *)
-  sb_run_minor : float;  (* minor words from [on_start] to the return *)
-  sb_promoted : float;
-}
-
-let selfbench_sample f =
-  (* Gc.minor_words reads the allocation pointer exactly; quick_stat's
-     copy lags until the next minor collection *)
-  let c0 = Unix.gettimeofday () and m0 = Gc.minor_words () in
-  let g0 = Gc.quick_stat () in
-  let c1 = ref c0 and m1 = ref m0 in
-  let on_start _ =
-    c1 := Unix.gettimeofday ();
-    m1 := Gc.minor_words ()
-  in
-  let snap = f ~on_start in
-  let c2 = Unix.gettimeofday () and m2 = Gc.minor_words () in
-  let g1 = Gc.quick_stat () in
-  {
-    sb_events = engine_events snap;
-    sb_setup_s = !c1 -. c0;
-    sb_run_s = c2 -. !c1;
-    sb_setup_minor = !m1 -. m0;
-    sb_run_minor = m2 -. !m1;
-    sb_promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-  }
-
-(* [reps] rounds over every cell on [jobs] domains: the batch's wall
-   clock and, per cell, its samples in round order. *)
-let selfbench_run ~jobs ~reps cells =
-  let t0 = Unix.gettimeofday () in
-  let samples =
-    Runner.run ~jobs
-      (List.concat
-         (List.init reps (fun _ ->
-              List.map (fun (_, f) () -> selfbench_sample f) cells)))
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let n = List.length cells in
-  ( wall,
-    List.mapi
-      (fun c (name, _) ->
-        (name, List.filteri (fun i _ -> i mod n = c) samples))
-      cells )
-
-let min_median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  let median =
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-  in
-  (a.(0), median)
-
-let selfbench ~quick ?jobs () =
-  header "Selfbench: harness wall-clock speed, sequential vs parallel";
-  let cells = selfbench_cells ~quick in
-  let reps = selfbench_reps ~quick in
-  let jobs = match jobs with Some j -> j | None -> Runner.default_jobs () in
-  let seq_wall, seq_cells = selfbench_run ~jobs:1 ~reps cells in
-  let par_wall, par_cells = selfbench_run ~jobs ~reps cells in
-  (* a free determinism check: every execution of a cell simulates the
-     same events, sequential or on the pool *)
-  let events_of (name, samples) =
-    match List.sort_uniq compare (List.map (fun s -> s.sb_events) samples) with
-    | [ e ] -> e
-    | _ -> failwith ("selfbench: " ^ name ^ " simulated different event counts")
-  in
-  let events = List.map events_of seq_cells in
-  if List.map events_of par_cells <> events then
-    failwith "selfbench: parallel run simulated a different event count";
-  let total_events = List.fold_left ( + ) 0 events in
-  let rate wall = float_of_int (reps * total_events) /. wall in
-  pf "%d rounds; set-up and run wall clock in ms, min / median@." reps;
-  pf "%-24s %8s %15s %15s %10s %9s %9s@." "cell" "events" "setup ms"
-    "run ms" "setup Mw" "run w/ev" "prom w/ev";
-  rule ();
-  let rows =
-    List.map2
-      (fun (name, samples) events ->
-        let stat field = min_median (List.map field samples) in
-        let per v = if events > 0 then v /. float_of_int events else 0. in
-        let setup = stat (fun s -> s.sb_setup_s)
-        and run = stat (fun s -> s.sb_run_s)
-        and wall = stat (fun s -> s.sb_setup_s +. s.sb_run_s)
-        and setup_minor = snd (stat (fun s -> s.sb_setup_minor))
-        and run_minor = snd (stat (fun s -> s.sb_run_minor))
-        and promoted = snd (stat (fun s -> s.sb_promoted)) in
-        pf "%-24s %8d %7.2f/%7.2f %7.2f/%7.2f %10.3f %9.1f %9.2f@." name events
-          (1e3 *. fst setup) (1e3 *. snd setup) (1e3 *. fst run)
-          (1e3 *. snd run) (setup_minor /. 1e6) (per run_minor) (per promoted);
-        let pair (lo, med) = [ Json.Float lo; Json.Float med ] in
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("events", Json.Int events);
-            ("wall_s", Json.List (pair wall));
-            ("setup_s", Json.List (pair setup));
-            ("run_s", Json.List (pair run));
-            ("setup_minor_words", Json.Float setup_minor);
-            ("run_minor_words", Json.Float run_minor);
-            ("run_minor_words_per_event", Json.Float (per run_minor));
-            ("promoted_words_per_event", Json.Float (per promoted));
-          ])
-      seq_cells events
-  in
-  rule ();
-  let cores = Runner.default_jobs () in
-  let speedup = seq_wall /. par_wall in
-  pf "sequential (jobs=1): %8.3f s   %12.0f events/s@." seq_wall
-    (rate seq_wall);
-  pf "parallel   (jobs=%d): %8.3f s   %12.0f events/s@." jobs par_wall
-    (rate par_wall);
-  pf "speedup %.2fx with %d jobs (%d recommended domains on this host)@."
-    speedup jobs cores;
-  let run_json ~jobs ~wall =
-    Json.Obj
-      [
-        ("jobs", Json.Int jobs);
-        ("wall_s", Json.Float wall);
-        ("events_per_s", Json.Float (rate wall));
-      ]
-  in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "asvm.selfbench/v2");
-        ("quick", Json.Bool quick);
-        ("cores", Json.Int cores);
-        ("rounds", Json.Int reps);
-        ("total_events", Json.Int total_events);
-        ("cells", Json.List rows);
-        ("sequential", run_json ~jobs:1 ~wall:seq_wall);
-        ("parallel", run_json ~jobs ~wall:par_wall);
-        ("speedup", Json.Float speedup);
-      ]
-  in
-  write_bench "selfbench" json
-
-(* ------------------------------------------------------------------ *)
-(* Pagestore microbench (BENCH_pagestore.json)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Eager-vs-COW on the snapshot-heavy pattern the simulator actually
-   executes: pages are transferred (snapshotted) and audited
-   (checksummed) far more often than they are written afterwards. The
-   eager baseline re-implements the pre-COW page store — a plain int
-   array, a full word copy per transfer, a full checksum per audit —
-   so the speedup is the cost this PR removed. A second section runs
-   the Table 2 read-sharing workload and reads the contents.* counters
-   off its registry snapshot: COW only pays off if materializations
-   stay well below snapshots on real protocol traffic. *)
-
-let eager_checksum a =
-  let acc = ref (Array.length a) in
-  for i = 0 to Array.length a - 1 do
-    acc := (!acc * 1000003) lxor a.(i)
-  done;
-  !acc
-
-let pagestore ~quick () =
-  let module C = Asvm_machvm.Contents in
-  header "pagestore: eager deep-copy vs COW page snapshots";
-  let words = 1024 (* the 8 KB page at 8-byte words *) in
-  let pages = if quick then 32 else 128 in
-  let snaps = if quick then 64 else 256 in
-  let audits = 2 in
-  let reps = if quick then 3 else 5 in
-  (* the two implementations must agree on the page image *)
-  let probe = C.zero ~words in
-  C.set probe 0 42;
-  let probe_eager = Array.make words 0 in
-  probe_eager.(0) <- 42;
-  if C.checksum probe <> eager_checksum probe_eager then
-    failwith "pagestore: eager and COW checksums disagree";
-  let sink = ref 0 in
-  let eager_round () =
-    for _p = 1 to pages do
-      let src = Array.make words 0 in
-      src.(0) <- 42;
-      src.(words - 1) <- 7;
-      for _s = 1 to snaps do
-        let snap = Array.copy src in
-        for _a = 1 to audits do
-          sink := !sink lxor eager_checksum snap
-        done
-      done;
-      (* writer mutates after the transfers went out *)
-      src.(1) <- 9
-    done
-  in
-  let cow_round () =
-    for _p = 1 to pages do
-      let src = C.zero ~words in
-      C.set src 0 42;
-      C.set src (words - 1) 7;
-      for _s = 1 to snaps do
-        let snap = C.snapshot src in
-        for _a = 1 to audits do
-          sink := !sink lxor C.checksum snap
-        done
-      done;
-      C.set src 1 9
-    done
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let eager_s = time eager_round in
-  let cow_s = time cow_round in
-  let speedup = eager_s /. cow_s in
-  let transfers = pages * snaps * reps in
-  pf "%d pages x %d snapshots x %d audits, %d reps (%d transfers):@." pages
-    snaps audits reps transfers;
-  pf "  eager (copy + full checksum): %10.4f s@." eager_s;
-  pf "  COW   (alias + memoized sum): %10.4f s@." cow_s;
-  pf "  speedup: %.2fx@." speedup;
-  (* Table 2 sharing workload: many nodes read one file through the
-     pager; transfers are all snapshots, writes are rare *)
-  let nodes = if quick then 4 else 16 in
-  let r = File_io.read_test ~mm:Config.Mm_asvm ~nodes ~file_mb:1 () in
-  let total name = Metrics.counter_total r.File_io.metrics name in
-  let t2_snapshots = total "contents.snapshots" in
-  let t2_cow = total "contents.cow_materializations" in
-  let t2_hits = total "contents.checksum_cache_hits" in
-  rule ();
-  pf "table2 read sharing (%d nodes, 1 MB file), contents.* counters:@." nodes;
-  pf "  snapshots: %d   cow_materializations: %d   checksum_cache_hits: %d@."
-    t2_snapshots t2_cow t2_hits;
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "asvm.pagestore/v1");
-        ("quick", Json.Bool quick);
-        ("words", Json.Int words);
-        ("pages", Json.Int pages);
-        ("snapshots_per_page", Json.Int snaps);
-        ("audits_per_snapshot", Json.Int audits);
-        ("reps", Json.Int reps);
-        ("eager_s", Json.Float eager_s);
-        ("cow_s", Json.Float cow_s);
-        ("speedup", Json.Float speedup);
-        ( "table2",
-          Json.Obj
-            [
-              ("nodes", Json.Int nodes);
-              ("snapshots", Json.Int t2_snapshots);
-              ("cow_materializations", Json.Int t2_cow);
-              ("checksum_cache_hits", Json.Int t2_hits);
-              ("cow_lt_snapshots", Json.Bool (t2_cow < t2_snapshots));
-            ] );
-      ]
-  in
-  write_bench "pagestore" json;
-  if speedup < 1.3 then
-    failwith
-      (Printf.sprintf "pagestore: COW speedup %.2fx below the 1.3x floor"
-         speedup);
-  if t2_cow >= t2_snapshots then
-    failwith
-      "pagestore: cow_materializations not below snapshots on the table2 \
-       sharing workload"
-
-(* ------------------------------------------------------------------ *)
 (* Chaos soak (BENCH_chaos.json)                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1212,13 +776,6 @@ let experiments =
       fun ~quick:_ ~metrics:_ ~seeds:_ ~jobs:_ -> ablation_striping () );
     ( "ablation-memory", true,
       fun ~quick:_ ~metrics:_ ~seeds:_ ~jobs:_ -> ablation_memory () );
-    ("bechamel", true, fun ~quick:_ ~metrics:_ ~seeds:_ ~jobs:_ -> bechamel ());
-    (* named only: it deliberately runs its batch twice to time it *)
-    ( "selfbench", false,
-      fun ~quick ~metrics:_ ~seeds:_ ~jobs -> selfbench ~quick ?jobs () );
-    (* named only: a harness microbench, not a paper experiment *)
-    ( "pagestore", false,
-      fun ~quick ~metrics:_ ~seeds:_ ~jobs:_ -> pagestore ~quick () );
     (* named only: fault injection is a soak, not a paper experiment *)
     ( "chaos", false,
       fun ~quick ~metrics:_ ~seeds ~jobs -> chaos ~quick ~seeds ?jobs () );

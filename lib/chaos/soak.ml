@@ -21,7 +21,6 @@ type outcome = {
   timeouts : int;
   duplicates_dropped : int;
   sim_ms : float;
-  cpu_s : float;
   crashes : int;
   rejoins : int;
   lost_pages : int;
@@ -33,8 +32,6 @@ type overhead = {
   oh_workload : string;
   base_sim_ms : float;
   rel_sim_ms : float;
-  base_cpu_s : float;
-  rel_cpu_s : float;
   rel_retransmits : int;
 }
 
@@ -177,7 +174,6 @@ let run_one ?quick ~mm ~workload ~plan ~reliable () =
     timeouts = Metrics.counter_total s "sts.timeouts";
     duplicates_dropped = Metrics.counter_total s "sts.duplicates_dropped";
     sim_ms = gauge s "engine.sim_ms";
-    cpu_s = gauge s "engine.cpu_s";
     crashes = Metrics.counter_total s "chaos.crashes";
     rejoins = Metrics.counter_total s "chaos.rejoins";
     lost_pages =
@@ -255,8 +251,6 @@ let run ?jobs ?(seeds = 10) ?(quick = false) () =
           oh_workload = w;
           base_sim_ms = base.sim_ms;
           rel_sim_ms = rel.sim_ms;
-          base_cpu_s = base.cpu_s;
-          rel_cpu_s = rel.cpu_s;
           rel_retransmits = rel.retransmits;
         })
       workloads
@@ -349,12 +343,12 @@ let pp_report ppf r =
   List.iter
     (fun oh ->
       Format.fprintf ppf
-        "  %-6s sim %8.1f -> %8.1f ms (%+.2f%%)  cpu %.3f -> %.3f s  retx=%d@."
+        "  %-6s sim %8.1f -> %8.1f ms (%+.2f%%)  retx=%d@."
         oh.oh_workload oh.base_sim_ms oh.rel_sim_ms
         (if oh.base_sim_ms > 0. then
            (oh.rel_sim_ms -. oh.base_sim_ms) /. oh.base_sim_ms *. 100.
          else 0.)
-        oh.base_cpu_s oh.rel_cpu_s oh.rel_retransmits)
+        oh.rel_retransmits)
     r.overheads
 
 let outcome_to_json o =
@@ -372,7 +366,6 @@ let outcome_to_json o =
       ("timeouts", Json.Int o.timeouts);
       ("duplicates_dropped", Json.Int o.duplicates_dropped);
       ("sim_ms", Json.Float o.sim_ms);
-      ("cpu_s", Json.Float o.cpu_s);
       ("crashes", Json.Int o.crashes);
       ("rejoins", Json.Int o.rejoins);
       ("lost_pages", Json.Int o.lost_pages);
@@ -392,15 +385,13 @@ let overhead_to_json oh =
       ("workload", Json.String oh.oh_workload);
       ("base_sim_ms", Json.Float oh.base_sim_ms);
       ("rel_sim_ms", Json.Float oh.rel_sim_ms);
-      ("base_cpu_s", Json.Float oh.base_cpu_s);
-      ("rel_cpu_s", Json.Float oh.rel_cpu_s);
       ("rel_retransmits", Json.Int oh.rel_retransmits);
     ]
 
 let to_json r =
   Json.Obj
     [
-      ("schema", Json.String "asvm.chaos/v1");
+      ("schema", Json.String "asvm.chaos/v2");
       ("total_violations", Json.Int r.total_violations);
       ("lost_writes", Json.Int r.lost_writes);
       ("incomplete", Json.Int r.incomplete);

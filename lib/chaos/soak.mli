@@ -36,7 +36,6 @@ type outcome = {
   timeouts : int;
   duplicates_dropped : int;
   sim_ms : float;
-  cpu_s : float;
   crashes : int;  (** whole-node crashes actually executed *)
   rejoins : int;  (** crashed nodes re-admitted *)
   lost_pages : int;
@@ -52,8 +51,6 @@ type overhead = {
   oh_workload : string;
   base_sim_ms : float;
   rel_sim_ms : float;
-  base_cpu_s : float;
-  rel_cpu_s : float;
   rel_retransmits : int;  (** must be 0 on a perfect network *)
 }
 
@@ -110,10 +107,9 @@ val run_one :
     sizes for CI. *)
 val run : ?jobs:int -> ?seeds:int -> ?quick:bool -> unit -> report
 
-val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit
 
-(** Schema ["asvm.chaos/v1"]; [total_violations], [lost_writes] and
+(** Schema ["asvm.chaos/v2"]; [total_violations], [lost_writes] and
     [incomplete] are top-level so CI can grep the report without
     parsing it. *)
 val to_json : report -> Asvm_obs.Json.t

@@ -522,6 +522,10 @@ let static_mgr i page = i.i_sharers.(page mod Array.length i.i_sharers)
 let current t node inc =
   (not (Network.is_down t.net node)) && Network.incarnation t.net node = inc
 
+(* [node] crashed and is up again as a later incarnation than [inc]. *)
+let rejoined t node inc =
+  (not (Network.is_down t.net node)) && Network.incarnation t.net node <> inc
+
 (* The static hint for a page [node] owns. *)
 let owned_by t node =
   S_at { owner = node; inc = Network.incarnation t.net node; gen = -1 }
@@ -1630,16 +1634,23 @@ let rec handle t node msg =
   | A_pager_offer { obj; page; from } ->
     (* the grant may wait for a receive buffer; a crash mid-wait still
        answers — the contents then dead-letter into the store, which
-       survives the crash *)
+       survives the crash.  An evictor that crashed and rejoined during
+       the wait is a new incarnation that never made the offer and
+       would ignore the grant: its page died with the old one, so the
+       credit goes back and no pageout window opens *)
     let i = inst t node obj in
     let grant = A_pager_grant { obj; page } in
+    let from_inc = Network.incarnation t.net from in
     Sts.acquire_buffer t.sts ~node
       (owe t node i ~dst:from grant (fun () ->
-           (match Int_tbl.find_opt i.i_pageouts page with
-           | Some po -> po.evictor <- from
-           | None ->
-             Int_tbl.add i.i_pageouts page { evictor = from; waiting = [] });
-           send t ~src:node ~dst:from grant))
+           if rejoined t from from_inc then Sts.release_buffer t.sts ~node
+           else begin
+             (match Int_tbl.find_opt i.i_pageouts page with
+             | Some po -> po.evictor <- from
+             | None ->
+               Int_tbl.add i.i_pageouts page { evictor = from; waiting = [] });
+             send t ~src:node ~dst:from grant
+           end))
   | A_pager_grant { obj; page } -> answer t node ~obj ~page true
   | A_to_pager { obj; page; contents } -> (
     let i = inst t node obj in

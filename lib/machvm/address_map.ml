@@ -60,8 +60,3 @@ let find_space t ~hint ~npages =
       else candidate
   in
   search (Stdlib.max hint 0) t.entries
-
-let pp_inheritance ppf = function
-  | Inherit_none -> Format.pp_print_string ppf "none"
-  | Inherit_share -> Format.pp_print_string ppf "share"
-  | Inherit_copy -> Format.pp_print_string ppf "copy"

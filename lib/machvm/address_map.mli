@@ -44,5 +44,3 @@ val entries : t -> entry list
 
 (** First free range of [npages] at or after [hint]. *)
 val find_space : t -> hint:int -> npages:int -> int
-
-val pp_inheritance : Format.formatter -> inheritance -> unit

@@ -165,10 +165,3 @@ let checksum t =
     b.sum_valid <- true;
     !acc
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>[%a]@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    (Array.to_list t.buf.data)

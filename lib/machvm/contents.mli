@@ -51,8 +51,6 @@ val is_zero : t -> bool
     invalidated by {!set}, so auditing an unchanged page is O(1). *)
 val checksum : t -> int
 
-val pp : Format.formatter -> t -> unit
-
 (** Cumulative page-store accounting for the calling domain, feeding
     the [contents.*] registry counters (see docs/OBSERVABILITY.md). *)
 type stats = {

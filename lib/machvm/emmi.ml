@@ -25,13 +25,3 @@ let null_manager =
     m_data_unlock = (fun ~page:_ ~desired:_ -> fail "data_unlock");
     m_data_return = (fun ~page:_ ~contents:_ ~dirty:_ -> fail "data_return");
   }
-
-let pp_lock_result ppf = function
-  | Lock_done { returned = None } -> Format.pp_print_string ppf "done"
-  | Lock_done { returned = Some _ } -> Format.pp_print_string ppf "done+data"
-  | Lock_not_present -> Format.pp_print_string ppf "not-present"
-
-let pp_pull_result ppf = function
-  | Pull_zero_fill -> Format.pp_print_string ppf "zero-fill"
-  | Pull_contents _ -> Format.pp_print_string ppf "contents"
-  | Pull_ask_shadow id -> Format.fprintf ppf "ask-shadow(%a)" Ids.pp_obj id

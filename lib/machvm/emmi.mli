@@ -59,6 +59,3 @@ type manager = {
 (** A manager that accepts nothing — objects bound to it must never
     generate requests; used as a guard in tests. *)
 val null_manager : manager
-
-val pp_lock_result : Format.formatter -> lock_result -> unit
-val pp_pull_result : Format.formatter -> pull_result -> unit

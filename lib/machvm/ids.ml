@@ -11,6 +11,3 @@ module Alloc = struct
     t.next <- id + 1;
     id
 end
-
-let pp_obj ppf id = Format.fprintf ppf "obj#%d" id
-let pp_task ppf id = Format.fprintf ppf "task#%d" id

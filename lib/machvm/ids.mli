@@ -14,6 +14,3 @@ module Alloc : sig
   val create : unit -> t
   val fresh : t -> int
 end
-
-val pp_obj : Format.formatter -> obj_id -> unit
-val pp_task : Format.formatter -> task_id -> unit

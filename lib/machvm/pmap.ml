@@ -14,5 +14,3 @@ let lookup t ~vpage = Int_tbl.find_opt t vpage
 let remove t ~vpage = Int_tbl.remove t vpage
 
 let vpages t = Int_tbl.fold (fun vpage _ acc -> vpage :: acc) t [] |> List.sort compare
-
-let size t = Int_tbl.length t

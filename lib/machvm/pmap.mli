@@ -17,5 +17,3 @@ val remove : t -> vpage:int -> unit
 
 (** All virtual pages currently translated (for invariant checks). *)
 val vpages : t -> int list
-
-val size : t -> int

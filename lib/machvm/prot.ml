@@ -4,12 +4,9 @@ let rank = function No_access -> 0 | Read_only -> 1 | Read_write -> 2
 let equal a b = rank a = rank b
 let compare a b = Int.compare (rank a) (rank b)
 let allows granted wanted = rank granted >= rank wanted
-let max a b = if rank a >= rank b then a else b
 let min a b = if rank a <= rank b then a else b
 
 let to_string = function
   | No_access -> "none"
   | Read_only -> "read"
   | Read_write -> "write"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -10,7 +10,5 @@ val compare : t -> t -> int
     wants [wanted]? *)
 val allows : t -> t -> bool
 
-val max : t -> t -> t
 val min : t -> t -> t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -16,12 +16,6 @@ type request = { at_ms : float; node : int; key : int; op : op }
 
 let process_name = function Poisson _ -> "poisson" | Bursty _ -> "bursty"
 
-let mean_rate_per_s = function
-  | Poisson { rate_per_s } -> rate_per_s
-  | Bursty { on_rate_per_s; off_rate_per_s; on_ms; off_ms } ->
-    ((on_rate_per_s *. on_ms) +. (off_rate_per_s *. off_ms))
-    /. (on_ms +. off_ms)
-
 (* inverse-CDF exponential; [Rng.float rng 1.] is in [0,1), so the
    argument of [log] stays in (0,1] and the sample is finite *)
 let exp_sample rng ~rate_per_ms = -.Float.log (1. -. Rng.float rng 1.) /. rate_per_ms

@@ -32,8 +32,8 @@ type process =
       (** on/off modulated Poisson (a 2-state MMPP with deterministic
           phase lengths): arrivals at [on_rate_per_s] for [on_ms], then
           at [off_rate_per_s] for [off_ms], repeating.  Same mean load
-          as a Poisson of {!mean_rate_per_s} but with standing bursts
-          that probe tail latency. *)
+          as a Poisson at the phases' time-weighted mean rate, but with
+          standing bursts that probe tail latency. *)
 
 type request = { at_ms : float; node : int; key : int; op : op }
 (** One pre-scheduled request: at [at_ms] a client task on [node]
@@ -41,10 +41,6 @@ type request = { at_ms : float; node : int; key : int; op : op }
 
 val process_name : process -> string
 (** ["poisson"] or ["bursty"] — the label used in benchmark cells. *)
-
-val mean_rate_per_s : process -> float
-(** Long-run mean arrival rate (time-weighted over phases for
-    {!Bursty}). *)
 
 val schedule :
   process ->

@@ -7,10 +7,6 @@ type summary = {
   total : float;
 }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f min=%.3f max=%.3f stddev=%.3f" s.n s.mean
-    s.min s.max s.stddev
-
 module Tally = struct
   type t = {
     mutable n : int;
@@ -33,7 +29,6 @@ module Tally = struct
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let count t = t.n
   let mean t = t.mean
   let total t = t.total
 

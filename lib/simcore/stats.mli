@@ -14,9 +14,6 @@ type summary = {
   total : float;
 }
 
-(** One-line rendering: count, mean, bounds, standard deviation. *)
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Streaming tally of float samples (Welford's algorithm). *)
 module Tally : sig
   type t
@@ -25,8 +22,6 @@ module Tally : sig
 
   (** Fold one sample into the running moments. *)
   val add : t -> float -> unit
-
-  val count : t -> int
 
   (** 0 when empty. *)
   val mean : t -> float

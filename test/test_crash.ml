@@ -464,22 +464,18 @@ let test_owed_acks_at_crash () =
     done_at;
   Alcotest.(check (list string)) "invariants hold" [] (Invariants.check cl)
 
-(* A pageout offer whose evictor died in flight opens no pageout
-   window.  Node 1 crashes 100 ms into a 16-node serving window and
-   rejoins 0.5 ms later.  An offer it sent before the crash reaches the
-   pager as a dead letter from a dead sender; applied verbatim, it
-   opened a window for node 1, the pager's grant went to the rejoined
-   incarnation, which ignores it, and every lookup for the page waited
-   in the window for good: 3,202 of the 3,211 requests completed, and
-   the checker found "node 0 holds 4 lookups for page 913 behind a
-   pageout from node 1".  The run fails if a request is still
-   outstanding 10 s into the window. *)
-let test_dead_evictor_offer () =
+(* A 16-node serving window (Poisson 4,000 req/s for 800 ms, uniform
+   keys, seed 42) in which node 1 crashes [crash_at] ms in and rejoins
+   [down_ms] later.  All 3,211 requests must complete and the checker
+   must find nothing; the run fails if a request is still outstanding
+   10 s into the window. *)
+let serve_through_crash ~crash_at ~down_ms =
   let findings = ref [] in
   let on_start cl =
     let eng = Cluster.engine cl in
-    Engine.schedule eng ~delay:100. (fun () -> Cluster.crash_node cl ~node:1);
-    Engine.schedule eng ~delay:100.5 (fun () ->
+    Engine.schedule eng ~delay:crash_at (fun () ->
+        Cluster.crash_node cl ~node:1);
+    Engine.schedule eng ~delay:(crash_at +. down_ms) (fun () ->
         Cluster.rejoin_node cl ~node:1);
     Engine.schedule eng ~delay:10_000. (fun () ->
         let snap = Cluster.metrics_snapshot cl in
@@ -504,6 +500,29 @@ let test_dead_evictor_offer () =
   Alcotest.(check int) "the cell's arrivals" 3211 r.requests;
   Alcotest.(check int) "every request completes" r.requests r.completions;
   Alcotest.(check (list string)) "invariants hold" [] !findings
+
+(* A pageout offer whose evictor died in flight opens no pageout
+   window.  Node 1 is down 0.5 ms at 100 ms.  An offer it sent before
+   the crash reaches the pager as a dead letter from a dead sender;
+   applied verbatim, it opened a window for node 1, the pager's grant
+   went to the rejoined incarnation, which ignores it, and every lookup
+   for the page waited in the window for good: 3,202 of the 3,211
+   requests completed, and the checker found "node 0 holds 4 lookups
+   for page 913 behind a pageout from node 1". *)
+let test_dead_evictor_offer () =
+  serve_through_crash ~crash_at:100. ~down_ms:0.5
+
+(* A pageout offer that waits out its evictor's crash and rejoin opens
+   no window either.  Node 1 is down 5 ms at 300 ms.  Its offer reached
+   the pager before the crash and waited there for a receive credit;
+   the credit came after the rejoin and opened a window for the new
+   incarnation, which never made the offer and ignored the grant, so
+   neither the window nor the credit closed: 3,202 of the 3,211
+   requests completed, and the checker found "node 0 holds 3 lookups
+   for page 1441 behind a pageout from node 1" and "sts: node 0 holds 5
+   reserved page buffers after quiesce". *)
+let test_rejoined_evictor_offer () =
+  serve_through_crash ~crash_at:300. ~down_ms:5.
 
 let () =
   Alcotest.run "crash"
@@ -535,5 +554,7 @@ let () =
             test_owed_acks_at_crash;
           Alcotest.test_case "a dead evictor's offer opens no window" `Quick
             test_dead_evictor_offer;
+          Alcotest.test_case "a rejoined evictor's offer opens no window"
+            `Quick test_rejoined_evictor_offer;
         ] );
     ]

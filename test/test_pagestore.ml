@@ -7,6 +7,9 @@ module Backing = Asvm_machvm.Backing
 module Engine = Asvm_simcore.Engine
 module Disk = Asvm_pager.Disk
 module Store_pager = Asvm_pager.Store_pager
+module Config = Asvm_cluster.Config
+module File_io = Asvm_workloads.File_io
+module Metrics = Asvm_obs.Metrics
 
 let wpp = 8
 
@@ -190,6 +193,19 @@ let prop_pager_roundtrip =
       Engine.run engine;
       match !got with Some v -> image v = expect | None -> false)
 
+(* Table 2's read-sharing cell: four nodes read one 1 MB file through
+   the pager, so transfers are snapshots and writes after them are
+   rare.  Copy on write pays off only if the run materializes far fewer
+   pages than it snapshots (128 against 1,152). *)
+let test_sharing_defers_copies () =
+  let r = File_io.read_test ~mm:Config.Mm_asvm ~nodes:4 ~file_mb:1 () in
+  let total name = Metrics.counter_total r.File_io.metrics name in
+  let snapshots = total "contents.snapshots" in
+  let materializations = total "contents.cow_materializations" in
+  if materializations >= snapshots then
+    Alcotest.failf "%d materializations for %d snapshots" materializations
+      snapshots
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -202,6 +218,8 @@ let () =
           qtest prop_copy_equal;
           Alcotest.test_case "zero-page interning" `Quick test_zero_interned;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+          Alcotest.test_case "read sharing defers copies" `Quick
+            test_sharing_defers_copies;
         ] );
       ( "roundtrips",
         [
