@@ -55,6 +55,17 @@ let check ?pages cl =
         bad "crash: down node %d holds %d resident frames" node r
     end
   done;
+  (* a live kernel waits on no manager reply after quiesce: a fault
+     still parked has nothing left to answer it (a down node's faults
+     wait for its rejoin by design) *)
+  for node = 0 to nodes - 1 do
+    if not (Cluster.node_down cl ~node) then begin
+      let n = Vm.pending_faults vms.(node) in
+      if n <> 0 then
+        bad "vm: live node %d still parks faults on %d page%s" node n
+          (if n = 1 then "" else "s")
+    end
+  done;
   (* per-page copy-set invariants, both backends *)
   List.iter
     (fun (obj, sharers) ->

@@ -16,7 +16,10 @@
     - {b STS buffer-pool balance} (ASVM): every page receive buffer
       reserved during the run was released (zero outstanding per node);
     - {b crashed-node silence}: a node that is down holds no resident
-      frames — recovery traffic must never repopulate a dead kernel.
+      frames — recovery traffic must never repopulate a dead kernel;
+    - {b no stranded faults}: the kernel of a node that is up has no
+      fault parked on a manager reply ({!Asvm_machvm.Vm.pending_faults});
+      a down node's parked faults wait for its rejoin.
 
     These are the properties that must also hold {e across crash
     epochs}: after {!Asvm_cluster.Cluster.crash_node} /

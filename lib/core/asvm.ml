@@ -1632,12 +1632,11 @@ let rec handle t node msg =
       update_static t i ~page ~hint:S_paged
     end
   | A_pager_offer { obj; page; from } ->
-    (* the grant may wait for a receive buffer; a crash mid-wait still
-       answers — the contents then dead-letter into the store, which
-       survives the crash.  An evictor that crashed and rejoined during
-       the wait is a new incarnation that never made the offer and
-       would ignore the grant: its page died with the old one, so the
-       credit goes back and no pageout window opens *)
+    (* the grant may wait for a receive buffer.  An evictor that
+       crashed and rejoined during the wait is a new incarnation that
+       never made the offer and would ignore the grant: its page died
+       with the old one, so the credit goes back and no pageout window
+       opens *)
     let i = inst t node obj in
     let grant = A_pager_grant { obj; page } in
     let from_inc = Network.incarnation t.net from in
@@ -1808,6 +1807,19 @@ let set_static_hint t i ~page ~hint =
     | None -> ()
     | Some mi -> record_static mi ~page ~seq:(next_seq t) hint
 
+(* A page's only copy died in flight to a crashed node: bank it in its
+   pager's store, which survives the crash (stable storage). *)
+let rescue t i ~page contents =
+  count t c_rescued_page;
+  Store_pager.remember (pager_of i page) ~obj:i.i_obj ~page ~contents;
+  set_static_hint t i ~page ~hint:S_paged
+
+(* The hint for a page no surviving node holds: the pager image when
+   the store has one, else fresh (the documented loss window). *)
+let paged_or_fresh i ~page =
+  if Store_pager.has (pager_of i page) ~obj:i.i_obj ~page then S_paged
+  else S_fresh
+
 (* Forget the pager's grant of [page] once the page's owner died (or
    its ownership died in flight), so the next cold fault is not chased
    towards the crash site — unless the entry records a grant its holder
@@ -1915,46 +1927,29 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
   else
     let inst_opt obj = Pair_tbl.find_opt t.insts dst obj in
     match msg with
-    | A_request req | A_pager_lookup req | A_pull req ->
+    | A_request req | A_pull req ->
       if req.r_kind = K_push_scan then
         (* [found = false] is the safe answer: it costs at most one
            redundant push, where [true] could skip a needed one *)
         deliver_if_alive t req.r_origin (scan_answer req ~found:false)
       else redrive_fault t req
-    | A_reply { origin_obj; page; contents; owner; _ } -> (
+    | A_reply { origin_obj; page; contents; owner = true; _ } -> (
+      (* ownership died in flight to the crashed origin: bank the page
+         it carried, or fall back to the pager image or a fresh page *)
       match inst_opt origin_obj with
       | None -> ()
       | Some i ->
-        if owner then begin
-          (match contents with
-          | Some c ->
-            (* ownership plus data died in flight to the crashed
-               origin: write the page back to its pager — the store
-               survives the crash (stable storage) *)
-            count t c_rescued_page;
-            Store_pager.remember (pager_of i page) ~obj:origin_obj ~page
-              ~contents:c;
-            set_static_hint t i ~page ~hint:S_paged
-          | None ->
-            set_static_hint t i ~page
-              ~hint:
-                (if Store_pager.has (pager_of i page) ~obj:origin_obj ~page
-                 then S_paged
-                 else S_fresh));
-          purge_granted t i ~page
-        end)
+        (match contents with
+        | Some c -> rescue t i ~page c
+        | None -> set_static_hint t i ~page ~hint:(paged_or_fresh i ~page));
+        purge_granted t i ~page)
     | A_grant { obj; page; _ } -> (
-      (* upgrade grant to a crashed reader: its read copy died with it;
-         fall back to the pager image when one exists — otherwise the
-         page reverts to fresh (the documented loss window) *)
+      (* upgrade grant to a crashed reader: its read copy died with it *)
       match inst_opt obj with
       | None -> ()
       | Some i ->
         count t c_lost_grant;
-        set_static_hint t i ~page
-          ~hint:
-            (if Store_pager.has (pager_of i page) ~obj ~page then S_paged
-             else S_fresh);
+        set_static_hint t i ~page ~hint:(paged_or_fresh i ~page);
         purge_granted t i ~page)
     | A_invalidate { obj; page; from; _ } ->
       (* a crashed reader holds no copy: acknowledge on its behalf *)
@@ -1971,34 +1966,13 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       match inst_opt obj with
       | None -> ()
       | Some i ->
-        count t c_rescued_page;
-        Store_pager.remember (pager_of i page) ~obj ~page ~contents;
-        set_static_hint t i ~page ~hint:S_paged;
+        rescue t i ~page contents;
         purge_granted t i ~page)
-    | A_pager_offer { obj; page; from } ->
-      (* the pager's node died; accept on its behalf — the contents
-         then dead-letter into the store, which survives the crash *)
-      deliver_if_alive t from (A_pager_grant { obj; page })
     | A_pager_grant { obj; page } ->
       (* the offering owner died; the pager-side reservation would leak,
          and lookups would wait forever on the pageout it announced *)
-      if not (Network.is_down t.net src) then begin
-        Sts.release_buffer t.sts ~node:src;
-        match Pair_tbl.find_opt t.insts src obj with
-        | Some pi -> close_pageout t src pi page
-        | None -> ()
-      end
-    | A_to_pager { obj; page; contents } -> (
-      match inst_opt obj with
-      | None -> ()
-      | Some i -> (
-        match contents with
-        | Some c ->
-          count t c_rescued_page;
-          Store_pager.remember (pager_of i page) ~obj ~page ~contents:c
-        | None ->
-          if not (Store_pager.has (pager_of i page) ~obj ~page) then
-            set_static_hint t i ~page ~hint:S_fresh))
+      Sts.release_buffer t.sts ~node:src;
+      close_pageout t src (inst t src obj) page
     | A_copy_made { obj; from; _ } | A_copy_shared { obj; from; _ } ->
       deliver_if_alive t from (A_copy_ack { obj })
     | A_push_lock { obj; page; from } ->
@@ -2015,15 +1989,15 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
     | A_push_to_copy { copy; home; page; contents; from } ->
       (match inst_opt copy with
       | None -> ()
-      | Some i ->
-        count t c_rescued_page;
-        Store_pager.remember (pager_of i page) ~obj:copy ~page ~contents;
-        set_static_hint t i ~page ~hint:S_paged);
+      | Some i -> rescue t i ~page contents);
       deliver_if_alive t from (A_push_ack { home; page })
-    | A_inval_ack _ | A_owner_update _ | A_reader_answer _
-    | A_push_lock_done _ | A_push_ack _ | A_scan_answer _ | A_retry _
-    | A_copy_ack _ ->
+    | A_reply { owner = false; _ } | A_inval_ack _ | A_owner_update _
+    | A_reader_answer _ | A_push_lock_done _ | A_push_ack _ | A_scan_answer _
+    | A_retry _ | A_copy_ack _ ->
       (* the state these answer died with the node *)
+      ()
+    | A_pager_lookup _ | A_pager_offer _ | A_to_pager _ ->
+      (* only a pager's node receives these, and it never crashes *)
       ()
 
 (* ------------------------------------------------------------------ *)
@@ -2184,13 +2158,8 @@ let reelect t ~victim i ~page ~ps =
     set_static_hint t oi ~page ~hint:(owned_by t owner);
     purge_granted t i ~page
   | [] ->
-    let hint =
-      if Store_pager.has (pager_of i page) ~obj ~page then S_paged
-      else begin
-        count t c_lost_page;
-        S_fresh
-      end
-    in
+    let hint = paged_or_fresh i ~page in
+    if hint = S_fresh then count t c_lost_page;
     set_static_hint t i ~page ~hint;
     purge_granted t i ~page
 
@@ -2203,25 +2172,16 @@ let crash_node t ~node =
       t.insts []
   in
   (* requests other nodes had parked at the victim — waiting on its
-     in-flight fault or on a pageout to its pager, queued at its owner
-     machine, or actively being served — restart from their origins
-     (a push scan is answered [found = false], as in [salvage]); owed
-     answers are synthesized so no survivor waits on the dead node *)
+     in-flight fault, queued at its owner machine, or actively being
+     served — restart from their origins; owed answers are synthesized
+     so no survivor waits on the dead node.  The victim hosts no pager,
+     so no lookup waits in a pageout window there. *)
   let parked = ref [] and owed = ref [] in
   let park req = parked := req :: !parked in
   List.iter
     (fun (_obj, i) ->
       Int_tbl.iter (fun _page q -> Queue.iter park q) i.i_waiting_inbound;
       Int_tbl.clear i.i_waiting_inbound;
-      Int_tbl.iter
-        (fun _page po ->
-          List.iter
-            (fun req ->
-              if req.r_kind = K_push_scan then
-                owed := (req.r_origin, scan_answer req ~found:false) :: !owed
-              else park req)
-            po.waiting)
-        i.i_pageouts;
       Int_tbl.iter
         (fun _page ps ->
           (match ps.p_active with Some req -> park req | None -> ());

@@ -154,6 +154,9 @@ val release_page :
     caller must already have marked the node down in the mesh registry
     ({!Asvm_mesh.Network.set_down}) and reset its kernel
     ({!Asvm_machvm.Vm.crash_reset}) — the cluster layer does both.
+    [node] must host no pager of any object: a pager's grant table,
+    pageout windows and the messages only its node receives are not
+    recovered ([Cluster.crashable] is false for every pager's node).
 
     In order: tears down the victim's transport state (credit pool,
     retransmission timers), replaces its protocol instances with empty

@@ -829,6 +829,9 @@ let lock_request t ~obj ~page ~op ~reply =
       in
       match Vm_object.frame o page with
       | None -> (
+        (* write access granted on a page evicted since the grant was
+           decided: the faults parked on it fault it in afresh *)
+        if Prot.equal op.Emmi.max_access Prot.Read_write then wake t obj page;
         match (op.Emmi.mode, o.copy) with
         | Emmi.Lock_push_first, Some _ ->
           (* a local copy needs the frozen contents, but the page is not
@@ -940,6 +943,8 @@ let redrive_pending t =
 let pending_pages t =
   Pair_tbl.fold (fun obj page _ acc -> (obj, page) :: acc) t.pending []
   |> List.sort_uniq compare
+
+let pending_faults t = Pair_tbl.length t.pending
 
 let faults t = t.faults
 let local_faults t = t.local_faults

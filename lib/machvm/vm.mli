@@ -132,6 +132,9 @@ val data_supply :
   mode:Emmi.supply_mode ->
   unit
 
+(** Lower (or raise) the kernel's access to a page.  A grant of write
+    access to a page no longer resident wakes the faults parked on it,
+    which then fault it in afresh. *)
 val lock_request :
   t ->
   obj:Ids.obj_id ->
@@ -206,6 +209,10 @@ val redrive_pending : t -> unit
     recovery layer marks them as recovering so rejoin latency can be
     measured per fault. *)
 val pending_pages : t -> (Ids.obj_id * int) list
+
+(** How many pages have faults parked on a manager reply — on a
+    quiescent live node, 0; counted without allocating. *)
+val pending_faults : t -> int
 
 (** {1 Statistics} *)
 

@@ -524,6 +524,138 @@ let test_dead_evictor_offer () =
 let test_rejoined_evictor_offer () =
   serve_through_crash ~crash_at:300. ~down_ms:5.
 
+(* Crash recovery relies on a pager's node never crashing
+   ([Asvm.crash_node]'s precondition): the cluster pins the default
+   pager's node and every node of a striped file's pagers, and refuses
+   to crash them.  With the I/O node at 4 of 6, a file striped three
+   ways has its pagers on nodes 4, 5 and 0. *)
+let test_pager_nodes_pinned () =
+  let cl = Cluster.create { (Config.default ~nodes:6) with Config.io_node = 4 } in
+  let obj =
+    Cluster.create_file_object cl ~size_pages:12 ~sharers:[ 0; 1; 2; 3; 4; 5 ]
+      ~stripes:3 ()
+  in
+  let pager_nodes =
+    List.map Asvm_pager.Store_pager.node (Cluster.object_pagers cl obj)
+  in
+  Alcotest.(check (list int)) "the file's pagers" [ 4; 5; 0 ] pager_nodes;
+  Alcotest.(check int) "the default pager's node" 4
+    (Asvm_pager.Store_pager.node (Cluster.default_pager cl));
+  List.iter
+    (fun node ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d is not crashable" node)
+        false
+        (Cluster.crashable cl ~node);
+      Alcotest.(check bool)
+        (Printf.sprintf "crashing node %d is refused" node)
+        true
+        (match Cluster.crash_node cl ~node with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    pager_nodes;
+  List.iter
+    (fun node ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d is crashable" node)
+        true
+        (Cluster.crashable cl ~node))
+    [ 1; 2; 3 ]
+
+(* ------------- crash-and-rejoin stress, lossless -------------------
+
+   108 serving cells: {4, 16 nodes} x {Zipf 0.9, uniform keys} x victim
+   {1, 2, 3} x crash at {100, 300, 700} ms into the window x down {0.5,
+   5, 100} ms, each at 250 req/s per node for 800 ms, seed 42.  A cell
+   passes when every request completes and the checker finds nothing.
+   Forwarding has no hop budget, so a request still outstanding 20 s
+   into the window ends the cell. *)
+
+exception Outstanding of int
+
+let stress_cell (nodes, key_dist, victim, crash_at, down_ms) =
+  let findings = ref [] in
+  let plan =
+    {
+      Plan.none with
+      Plan.crashes =
+        [ { Plan.c_victim = victim; c_at_ms = crash_at; c_down_ms = Some down_ms } ];
+    }
+  in
+  let on_start cl =
+    let engine = Cluster.engine cl in
+    Plan.schedule_crashes plan ~engine
+      ~crash:(fun node ->
+        Cluster.crash_node cl ~node;
+        true)
+      ~rejoin:(fun node -> Cluster.rejoin_node cl ~node);
+    Engine.schedule engine ~delay:20_000. (fun () ->
+        let snap = Cluster.metrics_snapshot cl in
+        let issued = Asvm_obs.Metrics.counter_total snap "serve.requests" in
+        let done_ = Asvm_obs.Metrics.counter_total snap "serve.completions" in
+        if done_ < issued then raise (Outstanding (issued - done_)))
+  in
+  let params =
+    {
+      Asvm_serve.Serve.default_params with
+      nodes;
+      process =
+        Asvm_serve.Arrival.Poisson { rate_per_s = 250. *. float_of_int nodes };
+      duration_ms = 800.;
+      key_dist;
+      seed = 42;
+    }
+  in
+  match
+    Asvm_serve.Serve.run ~mm:Config.Mm_asvm ~on_start
+      ~inspect:(fun cl -> findings := Invariants.check cl)
+      params
+  with
+  | exception Outstanding n -> [ Printf.sprintf "%d requests outstanding 20 s in" n ]
+  | r when r.completions < r.requests ->
+    Printf.sprintf "%d of %d requests complete" r.completions r.requests
+    :: !findings
+  | _ -> !findings
+
+let test_lossless_crash_stress () =
+  let cells =
+    List.concat_map
+      (fun nodes ->
+        List.concat_map
+          (fun key_dist ->
+            List.concat_map
+              (fun victim ->
+                List.concat_map
+                  (fun crash_at ->
+                    List.map
+                      (fun down_ms -> (nodes, key_dist, victim, crash_at, down_ms))
+                      [ 0.5; 5.; 100. ])
+                  [ 100.; 300.; 700. ])
+              [ 1; 2; 3 ])
+          [ Asvm_serve.Arrival.Zipf 0.9; Asvm_serve.Arrival.Uniform ])
+      [ 4; 16 ]
+  in
+  Alcotest.(check int) "cells" 108 (List.length cells);
+  let failed =
+    List.concat
+      (List.map2
+         (fun (nodes, key_dist, victim, crash_at, down_ms) findings ->
+           match findings with
+           | [] -> []
+           | first :: _ ->
+             [
+               Printf.sprintf "%d nodes, %s keys, node %d down %g ms at %g ms: %s"
+                 nodes
+                 (match key_dist with
+                 | Asvm_serve.Arrival.Uniform -> "uniform"
+                 | Asvm_serve.Arrival.Zipf _ -> "Zipf")
+                 victim down_ms crash_at first;
+             ])
+         cells
+         (Runner.map stress_cell cells))
+  in
+  Alcotest.(check (list string)) "every cell completes clean" [] failed
+
 let () =
   Alcotest.run "crash"
     [
@@ -556,5 +688,12 @@ let () =
             test_dead_evictor_offer;
           Alcotest.test_case "a rejoined evictor's offer opens no window"
             `Quick test_rejoined_evictor_offer;
+          Alcotest.test_case "pager nodes cannot crash" `Quick
+            test_pager_nodes_pinned;
+        ] );
+      ( "stress",
+        [
+          Alcotest.test_case "lossless crash and rejoin, 108 cells" `Slow
+            test_lossless_crash_stress;
         ] );
     ]

@@ -339,6 +339,50 @@ let test_lock_request_downgrade () =
   Alcotest.(check bool) "unlock requested after downgrade" true
     (List.mem `Unlock kinds)
 
+(* A write grant can lose its race with eviction: the manager decides
+   to let a parked write fault upgrade a read-only resident page, the
+   page is evicted, and only then does the lock request run.  The fault
+   must not wait for good: it faults the page in through its manager
+   again. *)
+let test_write_grant_after_eviction () =
+  let engine, ids, vm = make_vm () in
+  let task = Vm.create_task vm in
+  let oid = M.Ids.Alloc.fresh ids in
+  ignore (Vm.create_object vm ~id:oid ~size_pages:8 ~temporary:false);
+  let requests = ref [] in
+  let ask kind ~page ~desired = requests := (kind, page, desired) :: !requests in
+  Vm.set_manager vm oid
+    (Some
+       {
+         Emmi.m_data_request = ask `Request;
+         m_data_unlock = ask `Unlock;
+         m_data_return = (fun ~page:_ ~contents:_ ~dirty:_ -> ());
+       });
+  ignore
+    (Vm.map vm ~task ~obj:oid ~start:0 ~npages:8 ~obj_offset:0
+       ~inherit_:M.Address_map.Inherit_share);
+  Vm.data_supply vm ~obj:oid ~page:0 ~contents:(Contents.zero ~words:wpp)
+    ~lock:Prot.Read_only ~mode:Emmi.Supply_normal;
+  Engine.run engine;
+  let written = ref false in
+  Vm.write_word vm ~task ~addr:0 ~value:7 (fun () -> written := true);
+  Engine.run engine;
+  Alcotest.(check bool) "the write fault parks" false !written;
+  Alcotest.(check bool) "it asked for an upgrade" true
+    (!requests = [ (`Unlock, 0, Prot.Read_write) ]);
+  Alcotest.(check bool) "the page is evicted" true (Vm.evict_one vm);
+  Vm.lock_request vm ~obj:oid ~page:0
+    ~op:{ Emmi.max_access = Prot.Read_write; clean = false; mode = Emmi.Lock_plain }
+    ~reply:ignore;
+  Engine.run engine;
+  Alcotest.(check bool) "the fault asks for the page again" true
+    (List.hd !requests = (`Request, 0, Prot.Read_write));
+  Vm.data_supply vm ~obj:oid ~page:0 ~contents:(Contents.zero ~words:wpp)
+    ~lock:Prot.Read_write ~mode:Emmi.Supply_normal;
+  Engine.run engine;
+  Alcotest.(check bool) "the write completes" true !written;
+  Alcotest.(check int) "no fault left parked" 0 (Vm.pending_faults vm)
+
 let test_lock_not_present () =
   let engine, ids, vm = make_vm () in
   let oid = M.Ids.Alloc.fresh ids in
@@ -556,6 +600,8 @@ let () =
             test_lock_request_flush_returns_dirty;
           Alcotest.test_case "downgrade" `Quick test_lock_request_downgrade;
           Alcotest.test_case "push not present" `Quick test_lock_not_present;
+          Alcotest.test_case "write grant after eviction" `Quick
+            test_write_grant_after_eviction;
           Alcotest.test_case "pull chain" `Quick test_pull_request_chain;
           Alcotest.test_case "pull ask shadow" `Quick test_pull_request_ask_shadow;
           Alcotest.test_case "supply copies" `Quick

@@ -432,6 +432,22 @@ let plant_lost_frame cl ~obj ~frame:_ =
   let o = Asvm_machvm.Vm.get_object (Cluster.node_vm cl 1) obj in
   Asvm_machvm.Vm_object.remove o ~page:9
 
+(* node 2's kernel faults page 9 through a manager that never answers:
+   after the run the fault is still parked on a node that is up *)
+let plant_parked_fault cl ~obj ~frame:_ =
+  let silent =
+    {
+      Asvm_machvm.Emmi.null_manager with
+      Asvm_machvm.Emmi.m_data_request = (fun ~page:_ ~desired:_ -> ());
+    }
+  in
+  Asvm_machvm.Vm.set_manager (Cluster.node_vm cl 2) obj (Some silent);
+  let task = Cluster.create_task cl ~node:2 in
+  Cluster.map cl ~task ~obj ~start:0 ~npages:16
+    ~inherit_:Address_map.Inherit_share;
+  Cluster.read_word cl ~task ~addr:(9 * wpp) ignore;
+  Cluster.run cl
+
 (* ----------------------- single-node VM model ----------------------- *)
 
 (* Random sequences of writes, reads, local copies (fork-style) and
@@ -689,6 +705,10 @@ let () =
             (planted_fault Config.Mm_xmm plant_writer);
           Alcotest.test_case "asvm owner without its frame" `Quick
             (planted_fault Config.Mm_asvm plant_lost_frame);
+          Alcotest.test_case "asvm fault parked on a live node" `Quick
+            (planted_fault Config.Mm_asvm plant_parked_fault);
+          Alcotest.test_case "xmm fault parked on a live node" `Quick
+            (planted_fault Config.Mm_xmm plant_parked_fault);
         ] );
       ("vm model", [ qtest vm_local_semantics ]);
       ("forwarding", [ Alcotest.test_case "zero caches" `Quick test_zero_caches ]);
