@@ -81,11 +81,7 @@ let receive t node msg =
          but this node received ownership all the same and forgets its
          hint, which often names the sender (whose hint names this node) *)
       Hint_cache.remove i.i_dyn ~page;
-      if dirty then pager_store_handshake t node i ~page ~contents
-      else
-        send t ~src:node
-          ~dst:(Store_pager.node (pager_of i page))
-          (A_to_pager { obj; page; contents = None });
+      to_pager t node i ~page ~contents ~dirty ignore;
       update_static t i ~page ~hint:S_paged
     end
   | A_pager_grant { obj; page } -> answer t node ~obj ~page true

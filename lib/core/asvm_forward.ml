@@ -141,12 +141,12 @@ and consult_static t node i req =
     count t c_paged_hint;
     to_pager_lookup t node i req
   | Some (S_at { owner = target; inc; gen }, _)
-    when target <> node && current t target inc ->
+    when target <> node && Network.current t.net target inc ->
     count t c_static_hit;
     req.r_directed <- gen;
     send t ~src:node ~dst:target (A_request req)
   | Some (S_at { owner; inc; gen }, _)
-    when owner = node && current t node inc && gen >= 0
+    when owner = node && Network.current t.net node inc && gen >= 0
          && gen = parkable_gen i node req ->
     (* the table designates this manager's own in-flight fault *)
     park_request t node i req
@@ -164,7 +164,7 @@ and consult_static t node i req =
        since *)
     start_sweep t node i req
       ~reason:
-        (if owner = node && current t node inc then "self_entry"
+        (if owner = node && Network.current t.net node inc then "self_entry"
          else "dead_entry")
   | None ->
     if Bytes.get i.i_seen req.r_page = '\000' then begin
@@ -462,24 +462,9 @@ and offer_transfer t node i ps ~page ~contents ~dirty =
         try_candidate last ~fallback:to_step4)
   | _ -> try_candidate candidate ~fallback:to_step4
 
-(* Step 4: return the page to the memory object's pager. A dirty page
-   carries contents, so the pager node first reserves a receive buffer
-   (pages only ever flow on behalf of their receiver). *)
+(* Step 4: return the page to the memory object's pager. *)
 and pageout_to_pager t node i ps ~page ~contents ~dirty =
   count t c_pageout_to_pager;
-  let pnode = Store_pager.node (pager_of i page) in
-  let conclude () =
-    update_static t i ~page ~hint:S_paged;
-    finish_owner_op t node i ps page ~moved_to:None
-  in
-  if not dirty then begin
-    send t ~src:node ~dst:pnode (A_to_pager { obj = i.i_obj; page; contents = None });
-    conclude ()
-  end
-  else begin
-    Int_tbl.replace i.i_answers page (fun _granted ->
-        send t ~src:node ~dst:pnode
-          (A_to_pager { obj = i.i_obj; page; contents = Some contents });
-        conclude ());
-    send t ~src:node ~dst:pnode (A_pager_offer { obj = i.i_obj; page; from = node })
-  end
+  to_pager t node i ~page ~contents ~dirty (fun () ->
+      update_static t i ~page ~hint:S_paged;
+      finish_owner_op t node i ps page ~moved_to:None)

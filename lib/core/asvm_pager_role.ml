@@ -108,20 +108,17 @@ let receive t node msg =
        crashed and rejoined during the wait is a new incarnation that
        never made the offer and would ignore the grant: its page died
        with the old one, so the credit goes back and no pageout window
-       opens *)
+       opens.  The pager's node never crashes, so it owes nothing *)
     let i = inst t node obj in
-    let grant = A_pager_grant { obj; page } in
     let from_inc = Network.incarnation t.net from in
-    Sts.acquire_buffer t.sts ~node
-      (owe t node i ~dst:from grant (fun () ->
-           if rejoined t from from_inc then Sts.release_buffer t.sts ~node
-           else begin
-             (match Int_tbl.find_opt i.i_pageouts page with
-             | Some po -> po.evictor <- from
-             | None ->
-               Int_tbl.add i.i_pageouts page { evictor = from; waiting = [] });
-             send t ~src:node ~dst:from grant
-           end))
+    Sts.acquire_buffer t.sts ~node (fun () ->
+        if rejoined t from from_inc then Sts.release_buffer t.sts ~node
+        else begin
+          (match Int_tbl.find_opt i.i_pageouts page with
+          | Some po -> po.evictor <- from
+          | None -> Int_tbl.add i.i_pageouts page { evictor = from; waiting = [] });
+          send t ~src:node ~dst:from (A_pager_grant { obj; page })
+        end)
   | A_to_pager { obj; page; contents } -> (
     let i = inst t node obj in
     Int_tbl.remove i.i_granted page;

@@ -195,7 +195,7 @@ let receive t node msg =
     end
     else
       (* no memory at the peer: the frozen page goes to the copy's pager *)
-      pager_store_handshake t node i ~page ~contents;
+      to_pager t node i ~page ~contents ~dirty:true ignore;
     send t ~src:node ~dst:from (A_push_ack { home; page })
   | A_scan_answer { home; page; copy; found } ->
     let i = inst t node home in

@@ -77,10 +77,7 @@ let purge_granted t i ~page =
    recover. *)
 let redrive_fault t req =
   let origin = req.r_origin in
-  if
-    Network.is_down t.net origin
-    || Network.incarnation t.net origin <> req.r_origin_inc
-  then ()
+  if not (Network.current t.net origin req.r_origin_inc) then ()
   else
     match Pair_tbl.find_opt t.insts origin req.r_origin_obj with
     | None -> ()

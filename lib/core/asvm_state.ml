@@ -66,8 +66,8 @@ type inst = {
   mutable i_next_gen : int;
   i_waiting_inbound : request Queue.t Int_tbl.t;
   (* answers this node owes for delivered-but-not-yet-answered messages
-     (invalidations, push locks, pager offers: anything whose reply
-     waits on an async kernel call or a receive-buffer credit).  If the
+     (invalidations, push locks: anything whose reply waits on an
+     async kernel call or a receive-buffer credit).  If the
      node crashes inside that window, recovery synthesizes each owed
      answer at its destination so the waiting peer is not stranded.
      Keyed by owe order ([i_owe_seq] numbers them): settling one is a
@@ -223,10 +223,6 @@ let note_request ?(reason = "") t ~node ~category req =
 
 let static_mgr i page = i.i_sharers.(page mod Array.length i.i_sharers)
 
-(* [node] is up and still the crash incarnation [inc]. *)
-let current t node inc =
-  (not (Network.is_down t.net node)) && Network.incarnation t.net node = inc
-
 (* [node] crashed and is up again as a later incarnation than [inc]. *)
 let rejoined t node inc =
   (not (Network.is_down t.net node)) && Network.incarnation t.net node <> inc
@@ -338,8 +334,7 @@ let update_static t i ~page ~hint =
    table from a remote hop is a simulator shortcut standing in for the
    cancellation round a real recovery protocol would run. *)
 let request_stale t req =
-  Network.is_down t.net req.r_origin
-  || Network.incarnation t.net req.r_origin <> req.r_origin_inc
+  (not (Network.current t.net req.r_origin req.r_origin_inc))
   || (req.r_kind = K_fault
      &&
      match Pair_tbl.find_opt t.insts req.r_origin req.r_origin_obj with
@@ -382,8 +377,7 @@ let owe t node i ~dst msg k =
   Int_tbl.add i.i_owed_acks seq (dst, msg);
   let inc = Network.incarnation t.net node in
   fun result ->
-    if Network.incarnation t.net node = inc && not (Network.is_down t.net node)
-    then begin
+    if Network.current t.net node inc then begin
       Int_tbl.remove i.i_owed_acks seq;
       k result
     end
@@ -394,16 +388,23 @@ let owed_newest_first i =
   |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
   |> List.map snd
 
-(* Ship a dirty page to the object's pager from outside an owner op
-   (fallback paths), honouring the buffer handshake. *)
-let pager_store_handshake t node i ~page ~contents =
-  Int_tbl.replace i.i_answers page (fun _granted ->
-      send t ~src:node
-        ~dst:(Store_pager.node (pager_of i page))
-        (A_to_pager { obj = i.i_obj; page; contents = Some contents }));
-  send t ~src:node
-    ~dst:(Store_pager.node (pager_of i page))
-    (A_pager_offer { obj = i.i_obj; page; from = node })
+(* Return [page] to the object's pager and run [k] once it has left.
+   A clean page goes as a bare notice; a dirty one carries contents, so
+   the pager node first reserves a receive buffer (pages only ever flow
+   on behalf of their receiver). *)
+let to_pager t node i ~page ~contents ~dirty k =
+  let pnode = Store_pager.node (pager_of i page) in
+  if not dirty then begin
+    send t ~src:node ~dst:pnode (A_to_pager { obj = i.i_obj; page; contents = None });
+    k ()
+  end
+  else begin
+    Int_tbl.replace i.i_answers page (fun _granted ->
+        send t ~src:node ~dst:pnode
+          (A_to_pager { obj = i.i_obj; page; contents = Some contents });
+        k ());
+    send t ~src:node ~dst:pnode (A_pager_offer { obj = i.i_obj; page; from = node })
+  end
 
 let make_inst t ~node ~obj ~size_pages ~sharers ~pagers ~fwd ~shadow =
   {

@@ -79,6 +79,7 @@ let set_down t node =
 let set_up t node = t.down.(node) <- false
 let is_down t node = t.down.(node)
 let incarnation t node = t.incarnation.(node)
+let current t node inc = (not t.down.(node)) && t.incarnation.(node) = inc
 
 let wire_latency t ~src ~dst ~bytes =
   if src = dst then 0.

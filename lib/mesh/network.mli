@@ -91,6 +91,10 @@ val is_down : t -> int -> bool
 (** How many times [node] has crashed so far (0 = never). *)
 val incarnation : t -> int -> int
 
+(** [current t node inc]: [node] is up and still the incarnation [inc]
+    — the one liveness check of an endpoint captured earlier. *)
+val current : t -> int -> int -> bool
+
 (** [send t ~src ~dst ~bytes ~sw_send ~sw_recv k] models one message.
     [src = dst] is allowed (loopback skips the wire but still pays the
     software path).

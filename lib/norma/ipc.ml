@@ -51,9 +51,6 @@ let port_node p = p.node
    delivery continuation actually runs, so messages queued behind a
    busy station are still caught.  Undeliverable messages go to the
    dead-letter hook as a fresh engine event. *)
-let endpoint_dead t node inc =
-  Network.is_down t.net node || Network.incarnation t.net node <> inc
-
 let dead_letter t ~src ~dst ~src_dead ~dst_dead msg =
   match t.on_dead_letter with
   | None -> ()
@@ -79,8 +76,8 @@ let send t ~src ~dst ~carries_page ?(rights = 1) msg =
         ~sw_send:(c.sw_send_ms +. rights_cost +. extra)
         ~sw_recv:(c.sw_recv_ms +. rights_cost +. extra)
         (fun () ->
-          let src_dead = endpoint_dead t src src_inc
-          and dst_dead = endpoint_dead t dst.node dst_inc in
+          let src_dead = not (Network.current t.net src src_inc)
+          and dst_dead = not (Network.current t.net dst.node dst_inc) in
           if src_dead || dst_dead then
             dead_letter t ~src ~dst:dst.node ~src_dead ~dst_dead msg
           else dst.handler dst msg)

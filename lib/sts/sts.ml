@@ -211,11 +211,6 @@ let note t ~node ~category = Trace.note t.trace ~time:(now t) ~node ~category
 (* Liveness                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* An endpoint is dead for a given message when it is currently down or
-   has crashed since the message was sent (incarnation mismatch). *)
-let endpoint_dead t node inc =
-  Network.is_down t.net node || Network.incarnation t.net node <> inc
-
 (* Hand a message that can no longer be delivered to the protocol's
    salvage hook.  Always fired as a fresh engine event: the send path
    may detect a dead destination while the caller is mid-operation, and
@@ -280,8 +275,8 @@ let on_ack r key =
    hand fresh messages to the registered handler. *)
 let deliver_reliable t r (p : 'msg pending) =
   let key = (p.p_src, p.p_dst, p.p_seq) in
-  let src_dead = endpoint_dead t p.p_src p.p_src_inc
-  and dst_dead = endpoint_dead t p.p_dst p.p_dst_inc in
+  let src_dead = not (Network.current t.net p.p_src p.p_src_inc)
+  and dst_dead = not (Network.current t.net p.p_dst p.p_dst_inc) in
   if src_dead || dst_dead then begin
     (* The delivered table doubles as a dead-letter dedup: only the
        first in-flight copy of the logical message is salvaged.  The
@@ -393,8 +388,8 @@ let send t ~src ~dst ~carries_page msg =
         let src_inc = Network.incarnation t.net src
         and dst_inc = Network.incarnation t.net dst in
         transmit t ~src ~dst ~carries_page (fun () ->
-            let src_dead = endpoint_dead t src src_inc
-            and dst_dead = endpoint_dead t dst dst_inc in
+            let src_dead = not (Network.current t.net src src_inc)
+            and dst_dead = not (Network.current t.net dst dst_inc) in
             if src_dead || dst_dead then
               dead_letter t ~src ~dst ~src_dead ~dst_dead msg
             else handler msg)

@@ -283,10 +283,7 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
        origin while the manager is mid-protocol must not end with a
        supply to a kernel that no longer expects one *)
     let origin_inc = Network.incarnation t.net origin in
-    let origin_ok () =
-      (not (Network.is_down t.net origin))
-      && Network.incarnation t.net origin = origin_inc
-    in
+    let origin_ok () = Network.current t.net origin origin_inc in
     make_coherent t ms ~origin ~page ~desired (fun () ->
         flush_readers t ms ~origin ~page ~desired (fun () ->
             let record_owner () =
@@ -435,10 +432,7 @@ let handle_lock t ~node ~obj ~page ~max_access ~clean =
   Vm.lock_request vm ~obj ~page
     ~op:{ Emmi.max_access; clean; mode = Emmi.Lock_plain }
     ~reply:(fun result ->
-      if
-        Network.incarnation t.net node = inc
-        && not (Network.is_down t.net node)
-      then begin
+      if Network.current t.net node inc then begin
         t.owed <- List.filter (fun o -> o != owed) t.owed;
         let contents =
           match result with
