@@ -145,10 +145,9 @@ let claim_residents t ~node ~obj =
   | Some o ->
     List.iter
       (fun page ->
-        if not (Int_tbl.mem i.i_pages page) then begin
-          take_ownership i ~page (new_pstate ~version:i.i_version);
-          update_static t i ~page ~hint:(owned_by t node)
-        end)
+        if not (Int_tbl.mem i.i_pages page) then
+          become_owner t node i ~page ~static_updated:false
+            (new_pstate ~version:i.i_version))
       (Asvm_machvm.Vm_object.resident_pages o)
 
 let owner_entries t ~node ~obj =

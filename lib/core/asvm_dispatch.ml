@@ -7,17 +7,6 @@ open Asvm_state
 open Asvm_pager_role
 open Asvm_forward
 
-(* [static_updated]: the supplier already recorded this node as owner
-   at the static manager (the [updated] flag of the reply), so sending
-   a second [A_owner_update] would only repeat the same hint — the
-   paper's three-message transfer relies on exactly one. *)
-let install_owner t node i ~page ~version ~dirty ~static_updated =
-  take_ownership i ~page (new_pstate ~version);
-  if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
-  trace_ownership t ~obj:i.i_obj ~page ~owner:node;
-  if not static_updated then
-    update_static t i ~page ~hint:(owned_by t node)
-
 (* A generation-checked answer to a superseded request: the re-driven
    fault still holds this node's receive-buffer reservation, so the
    stale answer must not consume it. *)
@@ -106,8 +95,10 @@ let handle t node msg =
       in
       Vm.data_supply t.vms.(node) ~obj:origin_obj ~page ~contents:c
         ~lock:effective_grant ~mode:Emmi.Supply_normal;
-      if owner then
-        install_owner t node i ~page ~version ~dirty ~static_updated:updated
+      if owner then begin
+        if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:origin_obj ~page;
+        become_owner t node i ~page ~static_updated:updated (new_pstate ~version)
+      end
       else Hint_cache.put i.i_dyn ~page from;
       drain_inbound t node i page
     end
@@ -119,7 +110,7 @@ let handle t node msg =
       if Vm.is_resident t.vms.(node) ~obj ~page then begin
         lock_plain t.vms.(node) ~obj ~page Prot.Read_write ~reply:ignore;
         (* the granting owner already updated the static manager *)
-        install_owner t node i ~page ~version ~dirty:false ~static_updated:true;
+        become_owner t node i ~page ~static_updated:true (new_pstate ~version);
         drain_inbound t node i page
       end
       else

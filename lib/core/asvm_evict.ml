@@ -38,8 +38,7 @@ let receive t node msg =
       if dirty then Vm.set_frame_dirty vm ~obj ~page;
       let ps = new_pstate ~version in
       ps.p_readers <- List.filter (fun r -> r <> node) rest;
-      take_ownership i ~page ps;
-      update_static t i ~page ~hint:(owned_by t node);
+      become_owner t node i ~page ~static_updated:false ps;
       send t ~src:node ~dst:from (A_reader_answer { obj; page; accepted = true })
     end
     else begin
@@ -72,10 +71,7 @@ let receive t node msg =
     let vm = t.vms.(node) in
     if
       Vm.try_accept_page vm ~obj ~page ~contents ~dirty ~access:Prot.Read_only
-    then begin
-      take_ownership i ~page (new_pstate ~version);
-      update_static t i ~page ~hint:(owned_by t node)
-    end
+    then become_owner t node i ~page ~static_updated:false (new_pstate ~version)
     else begin
       (* memory vanished since the offer: the page goes on to the pager,
          but this node received ownership all the same and forgets its

@@ -189,10 +189,7 @@ let receive t node msg =
          owner machine and run its own push (nested copy chains) *)
       Vm.try_accept_page t.vms.(node) ~obj:copy ~page ~contents ~dirty:true
         ~access:Prot.Read_only
-    then begin
-      take_ownership i ~page (new_pstate ~version:0);
-      update_static t i ~page ~hint:(owned_by t node)
-    end
+    then become_owner t node i ~page ~static_updated:false (new_pstate ~version:0)
     else
       (* no memory at the peer: the frozen page goes to the copy's pager *)
       to_pager t node i ~page ~contents ~dirty:true ignore;

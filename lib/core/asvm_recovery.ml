@@ -241,11 +241,10 @@ let reelect t ~victim i ~page ~ps =
     let oi = inst t owner obj in
     let nps = new_pstate ~version:ps.p_version in
     nps.p_readers <- rest;
-    take_ownership oi ~page nps;
+    become_owner t owner oi ~page ~static_updated:true nps;
     (* the survivor's copy may now be the only one anywhere: make sure
        an eviction writes it back instead of discarding it as clean *)
     Vm.set_frame_dirty t.vms.(owner) ~obj ~page;
-    trace_ownership t ~obj ~page ~owner;
     set_static_hint t oi ~page ~hint:(owned_by t owner);
     purge_granted t i ~page
   | [] ->

@@ -286,14 +286,6 @@ let lock_plain vm ~obj ~page access ~reply =
     ~op:{ Emmi.max_access = access; clean = false; mode = Emmi.Lock_plain }
     ~reply
 
-(* This node receives ownership of [page]: every way of receiving it
-   forgets the node's dynamic hint, which named an owner from before
-   this one, so hints only ever name later owners (DESIGN.md,
-   section 7). *)
-let take_ownership i ~page ps =
-  Int_tbl.replace i.i_pages page ps;
-  Hint_cache.remove i.i_dyn ~page
-
 (* ------------------------------------------------------------------ *)
 (* Hint maintenance                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -326,6 +318,19 @@ let update_static t i ~page ~hint =
   else
     send t ~src:i.i_node ~dst:sm
       (A_owner_update { obj = i.i_obj; page; hint; seq })
+
+(* This node receives ownership of [page], whichever way it comes: it
+   forgets its dynamic hint, which named an owner from before this one,
+   so hints only ever name later owners (DESIGN.md, section 7), traces
+   the change, and records itself at the static manager unless
+   [static_updated]: the supplier already did (the [updated] flag of a
+   reply; the paper's three-message transfer relies on exactly one
+   update), or crash recovery sets the hint itself. *)
+let become_owner t node i ~page ~static_updated ps =
+  Int_tbl.replace i.i_pages page ps;
+  Hint_cache.remove i.i_dyn ~page;
+  trace_ownership t ~obj:i.i_obj ~page ~owner:node;
+  if not static_updated then update_static t i ~page ~hint:(owned_by t node)
 
 (* Crash staleness: a request whose origin crashed answers a fault that
    died with the node — drop it wherever it is next routed.  A

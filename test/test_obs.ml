@@ -391,6 +391,53 @@ let test_fault_trace_three_messages () =
     [ ("request", false); ("reply", true); ("owner_update", false) ]
     transfer
 
+(* Every ownership change is a trace event (asvm.mli): node 2 writes a
+   page and node 1 reads it; node 2 evicts the page, and node 1, its
+   reader, takes ownership without a page transfer (paper 3.6, step 2).
+   The trace must record both owners, the reader after the writer. *)
+let test_reader_handoff_traced () =
+  let cl =
+    Cluster.create
+      { (Config.default ~nodes:4) with Config.trace_capacity = Some 4096 }
+  in
+  let obj =
+    Cluster.create_shared_object cl ~size_pages:3 ~sharers:[ 1; 2; 3 ] ()
+  in
+  let task node =
+    let t = Cluster.create_task cl ~node in
+    Cluster.map cl ~task:t ~obj ~start:0 ~npages:3
+      ~inherit_:Address_map.Inherit_share;
+    t
+  in
+  let t1 = task 1 and t2 = task 2 in
+  let run () = Cluster.run ~until:(Cluster.now cl +. 1000.) cl in
+  let sync what k =
+    let ok = ref false in
+    k (fun () -> ok := true);
+    run ();
+    if not !ok then Alcotest.failf "%s did not complete" what
+  in
+  let addr = 2 * Asvm_machvm.Vm_config.default.words_per_page in
+  sync "node 2's write" (fun k -> Cluster.write_word cl ~task:t2 ~addr ~value:1 k);
+  sync "node 1's read" (fun k -> Cluster.read_word cl ~task:t1 ~addr (fun _ -> k ()));
+  Alcotest.(check bool) "node 2 evicts the page" true
+    (Asvm_machvm.Vm.evict_one (Cluster.node_vm cl 2));
+  run ();
+  (match Cluster.backend cl with
+  | `Asvm a ->
+    Alcotest.(check bool) "node 1 owns the page" true
+      (Asvm_core.Asvm.is_owner a ~node:1 ~obj ~page:2)
+  | `Xmm _ -> Alcotest.fail "expected an ASVM cluster");
+  let owners =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.kind with
+        | Trace.Ownership { obj = o; page = 2; owner } when o = obj -> Some owner
+        | _ -> None)
+      (Trace.events (Option.get (Cluster.trace cl)))
+  in
+  Alcotest.(check (list int)) "owners of the page, in order" [ 2; 1 ] owners
+
 let () =
   Alcotest.run "obs"
     [
@@ -404,7 +451,10 @@ let () =
           Alcotest.test_case "jsonl roundtrip" `Quick test_sample_json_roundtrip;
         ] );
       ( "trace",
-        [ Alcotest.test_case "ring and jsonl" `Quick test_trace_ring_and_jsonl ] );
+        [
+          Alcotest.test_case "ring and jsonl" `Quick test_trace_ring_and_jsonl;
+          Alcotest.test_case "reader hand-off" `Quick test_reader_handoff_traced;
+        ] );
       ( "message economy",
         [
           Alcotest.test_case "asvm 3 messages" `Quick test_asvm_three_messages;
