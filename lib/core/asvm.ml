@@ -1,9 +1,5 @@
-(* ASVM's public face.  The mechanisms live in private modules, each
-   calling only the ones before it: Asvm_msg and Asvm_state (messages,
-   state, shared helpers), Asvm_push (delayed copy), Asvm_pager_role,
-   Asvm_forward (forwarding and the owner machine), Asvm_evict
-   (internode paging), Asvm_dispatch (received messages) and
-   Asvm_recovery (crash and rejoin). *)
+(* ASVM's public face.  Its mechanisms live in the private Asvm_*
+   modules, each calling only those before it (docs/ARCHITECTURE.md). *)
 
 include Asvm_state
 open Asvm_forward

@@ -1,7 +1,5 @@
-(* The message dispatcher: every message a node receives enters at
-   [handle].  Faults, their answers and invalidations (paper 3.3-3.5)
-   are served here; copy, pageout and eviction messages go on to their
-   mechanism. *)
+(* The message dispatcher: faults, their answers and invalidations
+   (paper 3.3-3.5) are served here, other messages by their mechanism. *)
 
 open Asvm_state
 open Asvm_pager_role

@@ -1,5 +1,5 @@
-(* Internode paging (paper 3.6): the four-step eviction of a page
-   this node owns, and the offers and answers it negotiates. *)
+(* Internode paging (paper 3.6) as the evicting owner's peers see it:
+   reader queries, transfer offers and pages, and the answers. *)
 
 open Asvm_state
 

@@ -1,7 +1,5 @@
-(* Request forwarding (paper 3.2-3.4) and the owner-side state
-   machine (3.5, figure 7).  A request is routed until it reaches the
-   page's owner, whose state machine serves it or hands it on, so the
-   two call each other and form one recursion. *)
+(* Request forwarding (paper 3.2-3.4), the owner state machine (3.5,
+   figure 7) and the owner's side of eviction (3.6): one recursion. *)
 
 open Asvm_state
 open Asvm_push

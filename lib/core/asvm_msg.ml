@@ -1,6 +1,5 @@
-(* ASVM's messages (paper 3.2-3.7): the request a fault sends round
-   the forwarding mechanisms, every message kind, how the answers to a
-   request are built, and the metric row each message is counted in. *)
+(* ASVM's messages (paper 3.2-3.7): the fault request, every message
+   kind, the answers built from a request, and each one's metric row. *)
 
 module Engine = Asvm_simcore.Engine
 module Stats = Asvm_simcore.Stats

@@ -1,7 +1,5 @@
-(* The pager's side of ASVM, on a pager's node (paper 3.4, 3.6): the
-   lookups that reach it when no owner is known, its grant table, which
-   serializes cold faults on one page, and the windows that hold those
-   lookups while a dirty pageout is in flight to the store. *)
+(* A pager's node (paper 3.4, 3.6): lookups when no owner is known, the
+   grant table and the windows of dirty pageouts in flight. *)
 
 open Asvm_state
 

@@ -1,6 +1,5 @@
-(* Delayed copy's push side (paper 3.7.2): before an owner grants
-   write access to a page of an object that has copies, it pushes the
-   frozen page into every copy; and the copy messages that drive it. *)
+(* Delayed copy's push side (paper 3.7.2): an owner pushes the frozen
+   page into every copy before it grants write access. *)
 
 open Asvm_state
 

@@ -1,7 +1,5 @@
-(* Node crash and rejoin (docs/AVAILABILITY.md): not in the paper,
-   whose nodes never fail.  [crash_node] rebuilds the victim's state,
-   re-elects owners and re-drives parked requests; [salvage] answers
-   each message a crash left undeliverable. *)
+(* Node crash, rejoin and dead letters (docs/AVAILABILITY.md): not in
+   the paper, whose nodes never fail. *)
 
 open Asvm_state
 open Asvm_pager_role

@@ -1,7 +1,5 @@
-(* ASVM's state: a page's owner entry, a node's instance of an object
-   and the engine itself, with the helpers every mechanism shares —
-   counting, sending, tracing, hints, the static table, crash
-   staleness and owed answers. *)
+(* ASVM's state (owner entries, object instances, the engine) and the
+   helpers every mechanism shares. *)
 
 include Asvm_msg
 
@@ -66,10 +64,10 @@ type inst = {
   mutable i_next_gen : int;
   i_waiting_inbound : request Queue.t Int_tbl.t;
   (* answers this node owes for delivered-but-not-yet-answered messages
-     (invalidations, push locks: anything whose reply waits on an
-     async kernel call or a receive-buffer credit).  If the
-     node crashes inside that window, recovery synthesizes each owed
-     answer at its destination so the waiting peer is not stranded.
+     (invalidations, push locks: anything whose reply waits on an async
+     kernel call or a receive-buffer credit).  If the node crashes
+     inside that window, recovery synthesizes each owed answer at its
+     destination so the waiting peer is not stranded.
      Keyed by owe order ([i_owe_seq] numbers them): settling one is a
      table removal, and recovery answers newest first *)
   i_owed_acks : (int * msg) Int_tbl.t;

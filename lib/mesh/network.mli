@@ -91,8 +91,7 @@ val is_down : t -> int -> bool
 (** How many times [node] has crashed so far (0 = never). *)
 val incarnation : t -> int -> int
 
-(** [current t node inc]: [node] is up and still the incarnation [inc]
-    — the one liveness check of an endpoint captured earlier. *)
+(** [current t node inc]: [node] is up and still the incarnation [inc]. *)
 val current : t -> int -> int -> bool
 
 (** [send t ~src ~dst ~bytes ~sw_send ~sw_recv k] models one message.
